@@ -233,7 +233,7 @@ inline campaign::CampaignConfig campaign_config(const common::CliArgs& args) {
   config.jobs = static_cast<unsigned>(args.get_positive_int("jobs", 1));
   config.checkpoint_path = args.get("checkpoint", "");
   config.resume = args.has("resume");
-  config.retries = static_cast<unsigned>(args.get_positive_int("retries", 1));
+  config.retries = static_cast<unsigned>(args.get_nonnegative_int("retries", 1));
   const double fault_rate = args.get_fraction("fault-rate", 0.0);
   if (fault_rate > 0.0) config.fault_plan.set_transport_rates(fault_rate);
   config.fault_plan.seed = static_cast<std::uint64_t>(args.get_int("fault-seed", 0x57084));

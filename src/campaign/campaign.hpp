@@ -1,5 +1,7 @@
 // The experiment-campaign runner: shards a characterization sweep across a
-// pool of worker threads and merges the results deterministically.
+// pool of worker threads and merges the results deterministically. Each
+// shard runs through the ShardExecutor (executor.hpp), which the campaign
+// service's rig pool shares.
 //
 // Why this is sound: the fault model is a pure function of (seed, bank,
 // row, bit) — there is no sequential RNG in the device — and every per-row
@@ -177,15 +179,21 @@ public:
   using common::Error::Error;
 };
 
+/// Builds a worker's private host from the sweep spec (see Campaign).
+using HostFactory = std::function<std::unique_ptr<bender::BenderHost>(const SweepSpec&)>;
+
+class RunLedger;  // executor.hpp
+
 class Campaign {
 public:
   /// Builds a worker's private host from the sweep spec. The default
   /// constructs BenderHost(spec.device) and brings it to temperature.
-  using HostFactory = std::function<std::unique_ptr<bender::BenderHost>(const SweepSpec&)>;
+  using HostFactory = campaign::HostFactory;
 
   /// `aggregate` (may be null) receives every worker's telemetry after the
   /// run plus the campaign.* counters; pass TelemetrySession::sink().
   explicit Campaign(CampaignConfig config, telemetry::Telemetry* aggregate = nullptr);
+  ~Campaign();
 
   /// Overrides worker host construction (population studies build variant
   /// devices; tests inject failures).
@@ -196,26 +204,23 @@ public:
   CampaignResult run(const SweepSpec& spec);
 
   /// Live campaign.* counters (shards_total/done/skipped/failed/retried).
-  [[nodiscard]] const telemetry::MetricsRegistry& metrics() const { return metrics_; }
+  [[nodiscard]] const telemetry::MetricsRegistry& metrics() const;
 
   /// Fleet phase profile: every worker's campaign-level phases (rig_build /
   /// shard_run / checkpoint / idle) plus every retired host's host-level
   /// phases, merged under the completion lock. Accumulates across run()
   /// calls on the same Campaign.
-  [[nodiscard]] const profiling::Profile& profile() const { return profile_; }
+  [[nodiscard]] const profiling::Profile& profile() const;
 
   /// The last run's span forest (campaign -> shard -> attempt -> host
   /// phase -> fault/recovery marks), already merged across workers and in
   /// canonical order. Cleared at the start of each run().
-  [[nodiscard]] const telemetry::SpanSheet& spans() const { return spans_; }
+  [[nodiscard]] const telemetry::SpanSheet& spans() const;
 
 private:
   CampaignConfig config_;
-  telemetry::Telemetry* aggregate_;
   HostFactory factory_;
-  telemetry::MetricsRegistry metrics_;
-  profiling::Profile profile_;
-  telemetry::SpanSheet spans_;
+  std::unique_ptr<RunLedger> ledger_;  ///< the books run() keeps (see executor.hpp)
 };
 
 /// Joins a finished campaign into one RunReport: the fleet profile, the
@@ -229,11 +234,9 @@ private:
                                                 const CampaignResult& result,
                                                 const telemetry::Telemetry* sink = nullptr);
 
-/// Same join, from loose parts instead of a Campaign. For runners that
-/// schedule shards themselves (the campaign service's shared rig pool) but
-/// must produce reports byte-identical to the Campaign path: pass the
-/// merged fleet profile, the run's span sheet, and the registry holding the
-/// campaign.*/resilience.* counters.
+/// Same join, from loose parts instead of a Campaign — for runners that
+/// keep their own RunLedger (the campaign service's rig pool): pass the
+/// ledger's fleet profile, span sheet and campaign.*/resilience.* counters.
 [[nodiscard]] profiling::RunReport build_report(const std::string& label, const SweepSpec& spec,
                                                 const profiling::Profile& profile,
                                                 const telemetry::SpanSheet& spans,

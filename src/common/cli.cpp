@@ -78,6 +78,15 @@ std::int64_t CliArgs::get_positive_int(const std::string& name, std::int64_t def
   return v;
 }
 
+std::int64_t CliArgs::get_nonnegative_int(const std::string& name, std::int64_t def) const {
+  const std::int64_t v = get_int(name, def);
+  if (has(name) && v < 0) {
+    throw CliError("flag --" + name + " expects a non-negative integer, got '" +
+                   get(name, "") + "'");
+  }
+  return v;
+}
+
 double CliArgs::get_positive_double(const std::string& name, double def) const {
   const double v = get_double(name, def);
   if (has(name) && (!std::isfinite(v) || v <= 0.0)) {

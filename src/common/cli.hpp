@@ -39,6 +39,9 @@ public:
   /// Integer that must be >= 1. `def` is returned unchecked when absent.
   [[nodiscard]] std::int64_t get_positive_int(const std::string& name, std::int64_t def) const;
 
+  /// Integer that must be >= 0 (a budget where 0 means "none").
+  [[nodiscard]] std::int64_t get_nonnegative_int(const std::string& name, std::int64_t def) const;
+
   /// Finite double that must be > 0. Rejects NaN and infinities.
   [[nodiscard]] double get_positive_double(const std::string& name, double def) const;
 

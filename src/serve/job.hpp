@@ -1,11 +1,12 @@
 // One tenant-submitted campaign job and its on-disk footprint.
 //
-// A Job owns exactly the state one Campaign::run() call owns — result,
-// counters, profile, span sheet, journal, metrics stream, worker status —
-// because the service's contract is that a job's deterministic report is
-// byte-identical to running its config through the bench CLI path. The
-// scheduler (scheduler.hpp) mutates all of it under `mutex`, replicating
-// the campaign engine's accounting move for move; the job just holds it.
+// A Job keeps its run's books in a campaign::RunLedger — result, counters,
+// profile, span sheet, journal, metrics stream, worker status — the same
+// ledger Campaign::run() keeps, filled by the same campaign::ShardExecutor
+// (scheduler.hpp), so a job's deterministic report is byte-identical to
+// running its config through the bench CLI path. On top of the ledger the
+// job holds what only the service has: tenant, state, per-shard completion
+// for the rig pool, cache accounting, and its on-disk paths.
 //
 // On-disk footprint, all under the server's data dir and all named by id:
 //   job-<id>.json           descriptor (tenant, state, canonical config) —
@@ -20,21 +21,15 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "campaign/campaign.hpp"
-#include "campaign/journal.hpp"
-#include "profiling/profile.hpp"
+#include "campaign/executor.hpp"
 #include "resilience/storage.hpp"
 #include "serve/config.hpp"
-#include "telemetry/metrics.hpp"
-#include "telemetry/span.hpp"
-#include "telemetry/stream.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace rh::serve {
@@ -48,15 +43,6 @@ enum class JobState : std::uint8_t { kQueued, kRunning, kDone, kFailed, kCancell
 [[nodiscard]] inline bool job_state_active(JobState s) {
   return s == JobState::kQueued || s == JobState::kRunning;
 }
-
-/// Live status of one rig slot against this job (the wall samples' workers
-/// array). Guarded by Job::mutex.
-struct JobWorkerStatus {
-  double busy_ms = 0.0;
-  std::uint64_t done = 0;
-  std::int64_t shard = -1;
-  std::chrono::steady_clock::time_point claim;
-};
 
 struct Job {
   // --- immutable after admission --------------------------------------
@@ -72,9 +58,11 @@ struct Job {
   std::string det_report_path;
   std::string meta_path;
 
-  // --- mutable, guarded by `mutex` (cancel is an atomic flag so the
+  // --- mutable, guarded by ledger.mutex (cancel is an atomic flag so the
   //     scheduler can observe it without the lock) -----------------------
-  std::mutex mutex;
+  /// The run's books; ledger.workers has one slot per scheduler rig and
+  /// ledger.aggregate points at `aggregate`.
+  campaign::RunLedger ledger;
   JobState state = JobState::kQueued;
   std::atomic<bool> cancel{false};
   std::string error;  ///< first fatal failure / finalize error, for the API
@@ -83,42 +71,22 @@ struct Job {
   std::size_t remaining = 0;     ///< shards not yet completed or failed
   std::uint64_t shards_cached = 0;  ///< answered from the result cache
   unsigned rigs_attached = 0;    ///< rigs currently holding this job's state
-  /// Fault-injector decorrelation serial (atomic: drawn during rig build,
-  /// outside the job lock — exactly Campaign::run()'s rig_serial).
-  std::atomic<std::uint64_t> rig_serial{0};
   bool finalized = false;
-  /// The journal writer died on a storage failure: results are no longer
-  /// durable, so finalize marks the job failed with the storage reason
-  /// (counted in result.storage_errors alongside stream/report losses).
-  bool journal_lost = false;
 
-  campaign::CampaignResult result;
-  telemetry::MetricsRegistry metrics;   ///< campaign.*/resilience.* counters
-  profiling::Profile profile;           ///< fleet profile (rigs merge in)
-  telemetry::SpanSheet spans;
   std::unique_ptr<telemetry::Telemetry> aggregate;  ///< fleet cmd.* sink
-  std::unique_ptr<campaign::JournalWriter> journal;
-  std::unique_ptr<telemetry::MetricsStreamWriter> stream;
   /// Per-job storage fault injectors (null unless the server was started
   /// with a storage fault plan), one independent stream per durable output
   /// so a journal fault never moves a stream fault.
   std::unique_ptr<resilience::StorageFaultInjector> journal_injector;
   std::unique_ptr<resilience::StorageFaultInjector> stream_injector;
   std::unique_ptr<resilience::StorageFaultInjector> meta_injector;
-  std::vector<JobWorkerStatus> wstatus;       ///< one slot per scheduler rig
-  telemetry::CounterValues last_wall;         ///< previous wall sample's values
-  std::chrono::steady_clock::time_point epoch;  ///< run start (span clock base)
 };
 
-/// Registers the campaign counter set on a fresh job's registry in the
-/// exact order Campaign::run() does (snapshot key order is sorted, but the
-/// stream's delta series observes registration-time zero-ness).
-void register_job_counters(Job& job);
-
-/// Completes a job whose last shard has retired: sorts timings/failures,
-/// roots the span forest, emits the final stream sample, merges counters
-/// into the aggregate sink, builds the rh-run-report/v1 pair, and writes
-/// both report files. Caller holds job.mutex; state must still be active.
+/// Completes a job whose last shard has retired: finishes the ledger (the
+/// same RunLedger::finish Campaign::run() ends with), builds the
+/// rh-run-report/v1 pair, writes both report files, and settles the
+/// terminal state. Caller holds job.ledger.mutex; state must still be
+/// active.
 void finalize_job(Job& job);
 
 /// One-line JSON descriptor for GET /jobs/<id> (and the jobs list).

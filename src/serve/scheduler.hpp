@@ -9,17 +9,17 @@
 // peer's, so one giant job spreads over all rigs yet a small job landing
 // later still starts immediately on whichever rig frees up first.
 //
-// Execution of one task replicates Campaign::run()'s inner worker loop
-// move for move — same counter updates, same span tree, same retry/fatal
-// split, same journal append under the job lock — because the service's
-// contract is that a job's deterministic report is byte-identical to the
-// bench CLI path. Where Campaign keeps per-worker state for the lifetime
-// of one run, a rig keeps it per *attachment*: the stretch of consecutive
-// tasks it runs for one job. Switching jobs (or going idle) retires the
-// attachment, folding the rig's host profile, telemetry sink, span sheet,
-// and fault-injector stats into the job under the job's mutex. A job
-// finalizes when its last shard has completed AND its last rig has
-// retired — so nothing is ever absorbed twice and nothing is missing.
+// A task runs through campaign::ShardExecutor and commits into the job's
+// campaign::RunLedger — the executor and ledger Campaign::run() uses — so
+// the service's contract, a job's deterministic report byte-identical to
+// the bench CLI path, holds by construction. Where Campaign keeps
+// per-worker state for the lifetime of one run, a rig keeps it per
+// *attachment*: the stretch of consecutive tasks it runs for one job.
+// Switching jobs (or going idle) retires the attachment, folding the rig's
+// host profile, telemetry sink, span sheet, and fault-injector stats into
+// the job's ledger under its lock. A job finalizes when its last shard has
+// completed AND its last rig has retired — so nothing is ever absorbed
+// twice and nothing is missing.
 //
 // Drain: stop() lets in-flight tasks finish (and journal), then joins the
 // rig threads. Unfinished jobs keep their journals; restart recovery
@@ -128,10 +128,8 @@ private:
   /// One rig's per-attachment state (see file comment).
   struct Rig {
     std::shared_ptr<Job> job;  ///< current attachment, null when detached
-    std::unique_ptr<bender::BenderHost> host;
-    std::unique_ptr<telemetry::Telemetry> sink;
-    std::unique_ptr<resilience::FaultInjector> injector;
-    std::unique_ptr<core::Characterizer> characterizer;
+    std::unique_ptr<campaign::ShardExecutor> executor;  ///< bound to `job`
+    campaign::Rig hardware;
     profiling::Profile profile;   ///< campaign-level phases this attachment
     telemetry::SpanSheet sheet;   ///< spans this attachment
   };
@@ -139,10 +137,8 @@ private:
   void rig_loop(unsigned rig_index);
   bool pop_task(unsigned rig_index, Task& task);  ///< pool lock held
   void attach(Rig& rig, const std::shared_ptr<Job>& job);
-  void scrap_hardware(Rig& rig);  ///< absorb + destroy host/sink/injector
   void retire(Rig& rig);          ///< end the attachment; may finalize the job
   void run_task(unsigned rig_index, Rig& rig, const Task& task);
-  void build_rig(Rig& rig, Job& job);
   void finalize_if_complete(const std::shared_ptr<Job>& job);
 
   Options options_;

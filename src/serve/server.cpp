@@ -55,13 +55,6 @@ bool is_job_descriptor(const std::string& name, std::uint64_t& id) {
   return true;
 }
 
-/// Storage loss never unwinds admission or recovery: count it on the job
-/// and keep going (finalize decides whether the job can still claim done).
-void note_job_storage_error(Job& job, const common::StorageError& e) {
-  ++job.result.storage_errors;
-  if (job.result.storage_error.empty()) job.result.storage_error = e.what();
-}
-
 /// The accounting identity of a request: the X-Tenant header, "anonymous"
 /// when absent or empty.
 std::string tenant_of(const HttpRequest& req) {
@@ -85,17 +78,11 @@ double us_since(std::chrono::steady_clock::time_point start) {
 
 /// Opens a job's metrics stream; a storage failure means the job simply
 /// runs streamless (telemetry is advisory).
-void open_stream(Job& job, std::size_t n, const Server::Options& options) {
-  try {
-    job.stream = std::make_unique<telemetry::MetricsStreamWriter>(
-        job.stream_path,
-        telemetry::MetricsStreamHeader{job.spec.device.fault.seed, job.hash,
-                                       static_cast<std::uint64_t>(n), options.rigs,
-                                       options.stream_cycle_cadence, 0.0},
-        job.stream_injector.get());
-  } catch (const common::StorageError& e) {
-    note_job_storage_error(job, e);
-  }
+void open_stream(Job& job, const Server::Options& options) {
+  job.ledger.open_stream(job.stream_path,
+                         {job.spec.device.fault.seed, job.hash, job.spec.shards.size(),
+                          options.rigs, options.stream_cycle_cadence, 0.0},
+                         job.stream_injector.get());
 }
 
 }  // namespace
@@ -151,7 +138,7 @@ void Server::start() {
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     for (const auto& [id, job] : jobs_) {
-      const std::lock_guard<std::mutex> jlock(job->mutex);
+      const std::lock_guard<std::mutex> jlock(job->ledger.mutex);
       if (job_state_active(job->state)) active.push_back(job);
     }
   }
@@ -270,13 +257,13 @@ HttpResponse Server::handle(const HttpRequest& req) {
     if (sub.empty()) {
       if (req.method == "DELETE") return cancel_job(id);
       if (req.method != "GET") return error_response(405, "use GET or DELETE");
-      const std::lock_guard<std::mutex> lock(job->mutex);
+      const std::lock_guard<std::mutex> lock(job->ledger.mutex);
       return json_response(200, job_status_json(*job));
     }
     if (req.method != "GET") return error_response(405, "use GET");
     if (sub == "/report") {
       {
-        const std::lock_guard<std::mutex> lock(job->mutex);
+        const std::lock_guard<std::mutex> lock(job->ledger.mutex);
         if (!job->finalized) {
           return error_response(404, "job " + id_text + " has no report yet (state " +
                                          to_string(job->state) + ")");
@@ -378,7 +365,7 @@ HttpResponse Server::submit(const HttpRequest& req) {
     std::size_t active = 0;
     std::size_t tenant_active = 0;
     for (const auto& [id, existing] : jobs_) {
-      const std::lock_guard<std::mutex> jlock(existing->mutex);
+      const std::lock_guard<std::mutex> jlock(existing->ledger.mutex);
       if (!job_state_active(existing->state)) continue;
       ++active;
       if (existing->tenant == tenant) ++tenant_active;
@@ -411,7 +398,7 @@ HttpResponse Server::submit(const HttpRequest& req) {
 
   bool fully_cached = false;
   {
-    const std::lock_guard<std::mutex> jlock(job->mutex);
+    const std::lock_guard<std::mutex> jlock(job->ledger.mutex);
     fully_cached = job->remaining == 0;
   }
   persist_meta(*job);  // descriptor on disk before any rig can touch the job
@@ -421,7 +408,7 @@ HttpResponse Server::submit(const HttpRequest& req) {
   // own submission with state "done" (and cache_hit true), not "queued".
   std::string body;
   {
-    const std::lock_guard<std::mutex> jlock(job->mutex);
+    const std::lock_guard<std::mutex> jlock(job->ledger.mutex);
     body = job_status_json(*job);
   }
   return json_response(201, std::move(body));
@@ -435,7 +422,7 @@ HttpResponse Server::list_jobs() {
     for (const auto& [id, job] : jobs_) {
       if (!first) body += ',';
       first = false;
-      const std::lock_guard<std::mutex> jlock(job->mutex);
+      const std::lock_guard<std::mutex> jlock(job->ledger.mutex);
       body += job_status_json(*job);
     }
   }
@@ -448,7 +435,7 @@ HttpResponse Server::cancel_job(std::uint64_t id) {
   if (job == nullptr) return error_response(404, "no such job: " + std::to_string(id));
   std::string body;
   {
-    const std::lock_guard<std::mutex> lock(job->mutex);
+    const std::lock_guard<std::mutex> lock(job->ledger.mutex);
     if (!job_state_active(job->state)) {
       return error_response(409,
                             "job " + std::to_string(id) + " is already " +
@@ -457,13 +444,13 @@ HttpResponse Server::cancel_job(std::uint64_t id) {
     job->cancel.store(true, std::memory_order_relaxed);
     job->state = JobState::kCancelled;
     // Close the writers only when no rig holds a reference to them: an
-    // attached rig's metrics sampler appends to *job->stream outside this
+    // attached rig's metrics sampler appends to *job->ledger.stream outside this
     // lock, so resetting mid-flight is a use-after-free. With rigs
     // attached, the last retire() closes both writers; the in-flight
     // shards finish and journal (DESIGN.md: "claimed shards finish").
     if (job->rigs_attached == 0) {
-      job->journal.reset();
-      job->stream.reset();
+      job->ledger.journal.reset();
+      job->ledger.stream.reset();
     }
     body = job_status_json(*job);
   }
@@ -513,8 +500,8 @@ std::string Server::healthz_json() {
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     for (const auto& [id, job] : jobs_) {
-      const std::lock_guard<std::mutex> jlock(job->mutex);
-      storage_errors += job->result.storage_errors;
+      const std::lock_guard<std::mutex> jlock(job->ledger.mutex);
+      storage_errors += job->ledger.result.storage_errors;
     }
   }
   std::string out = "{\"degraded\":";
@@ -540,9 +527,9 @@ Server::StatsSnapshot Server::stats_snapshot() {
       row.stats = stats;
     }
     for (const auto& [id, job] : jobs_) {
-      const std::lock_guard<std::mutex> jlock(job->mutex);
+      const std::lock_guard<std::mutex> jlock(job->ledger.mutex);
       snap.shards_cached += job->shards_cached;
-      snap.storage_errors += job->result.storage_errors;
+      snap.storage_errors += job->ledger.result.storage_errors;
       const bool is_active = job_state_active(job->state);
       switch (job->state) {
         case JobState::kQueued: ++snap.queued; ++snap.active; break;
@@ -723,15 +710,14 @@ std::shared_ptr<Job> Server::make_job(std::uint64_t id, const std::string& tenan
   const std::size_t n = job->spec.shards.size();
   job->done.assign(n, 0);
   job->remaining = n;
-  job->result.per_shard.resize(n);
-  register_job_counters(*job);
+  job->ledger.begin(n);
+  job->ledger.workers.resize(std::max(1u, options_.rigs));
   // Same sink configuration as the bench CLI's report-only TelemetrySession:
   // report byte-identity depends on the aggregate snapshot matching.
   telemetry::TelemetryConfig tc;
   tc.trace_enabled = false;
   job->aggregate = std::make_unique<telemetry::Telemetry>(tc);
-  job->wstatus.resize(std::max(1u, options_.rigs));
-  job->epoch = std::chrono::steady_clock::now();
+  job->ledger.aggregate = job->aggregate.get();
   return job;
 }
 
@@ -739,15 +725,14 @@ void Server::prepare_fresh(Job& job) {
   const std::size_t n = job.spec.shards.size();
   const campaign::JournalHeader header{job.spec.device.fault.seed, job.hash,
                                        static_cast<std::uint64_t>(n)};
+  campaign::RunLedger& ledger = job.ledger;
   try {
-    job.journal =
-        std::make_unique<campaign::JournalWriter>(job.journal_path, header,
-                                                  job.journal_injector.get());
+    ledger.journal = std::make_unique<campaign::JournalWriter>(job.journal_path, header,
+                                                               job.journal_injector.get());
   } catch (const common::StorageError& e) {
-    note_job_storage_error(job, e);
-    job.journal_lost = true;  // admitted, but it can never claim success
+    ledger.drop_journal(e.what());  // admitted, but it can never claim success
   }
-  open_stream(job, n, options_);
+  open_stream(job, options_);
 
   // Probe the cache shard by shard: a superset sweep only simulates the
   // shards the cache has never seen. Hits replay through the same
@@ -763,30 +748,29 @@ void Server::prepare_fresh(Job& job) {
     metrics_.observe("serve.cache_lookup_us", lookup_us);
     if (!hit) continue;
     metrics_.observe("serve.cache_hit_us", lookup_us);
-    if (job.journal != nullptr) {
+    if (ledger.journal != nullptr) {
       try {
-        job.journal->append_shard(i, records);
+        ledger.journal->append_shard(i, records);
       } catch (const common::StorageError& e) {
-        job.journal.reset();
-        job.journal_lost = true;
-        note_job_storage_error(job, e);
+        ledger.drop_journal(e.what());
       }
     }
-    job.metrics.counter("campaign.records").add(records.size());
-    job.result.per_shard[i] = std::move(records);
+    ledger.metrics.counter("campaign.records").add(records.size());
+    ledger.result.per_shard[i] = std::move(records);
     job.done[i] = 1;
     --job.remaining;
     ++job.shards_cached;
-    ++job.result.shards_skipped;
+    ++ledger.result.shards_skipped;
     ++skipped;
   }
-  if (skipped > 0) job.metrics.counter("campaign.shards_skipped").add(skipped);
+  if (skipped > 0) ledger.metrics.counter("campaign.shards_skipped").add(skipped);
 }
 
 void Server::prepare_resumed(Job& job) {
   const std::size_t n = job.spec.shards.size();
   const campaign::JournalHeader header{job.spec.device.fault.seed, job.hash,
                                        static_cast<std::uint64_t>(n)};
+  campaign::RunLedger& ledger = job.ledger;
   try {
     bool reopened = false;
     std::error_code ec;
@@ -798,19 +782,19 @@ void Server::prepare_resumed(Job& job) {
         for (const auto& [index, records] : reader.shards()) {
           if (index >= n) continue;
           cache_.insert(shard_cache_key(job.cache_prefix, job.spec.shards[index]), records);
-          job.metrics.counter("campaign.records").add(records.size());
-          job.result.per_shard[index] = records;
+          ledger.metrics.counter("campaign.records").add(records.size());
+          ledger.result.per_shard[index] = records;
           job.done[index] = 1;
           --job.remaining;
           ++job.shards_cached;
-          ++job.result.shards_skipped;
+          ++ledger.result.shards_skipped;
           ++skipped;
         }
-        if (skipped > 0) job.metrics.counter("campaign.shards_skipped").add(skipped);
+        if (skipped > 0) ledger.metrics.counter("campaign.shards_skipped").add(skipped);
         // Quarantine-and-compact: corrupt mid-file lines move to the
         // .quarantine sidecar and exactly their shards stay pending.
-        job.journal = std::make_unique<campaign::JournalWriter>(job.journal_path, reader,
-                                                                job.journal_injector.get());
+        ledger.journal = std::make_unique<campaign::JournalWriter>(job.journal_path, reader,
+                                                                   job.journal_injector.get());
         reopened = true;
       } catch (const common::ConfigError&) {
         // Destroyed header (or a journal from another sweep): nothing in it
@@ -818,14 +802,13 @@ void Server::prepare_resumed(Job& job) {
       }
     }
     if (!reopened) {
-      job.journal = std::make_unique<campaign::JournalWriter>(job.journal_path, header,
-                                                              job.journal_injector.get());
+      ledger.journal = std::make_unique<campaign::JournalWriter>(job.journal_path, header,
+                                                                 job.journal_injector.get());
     }
   } catch (const common::StorageError& e) {
-    note_job_storage_error(job, e);
-    job.journal_lost = true;
+    ledger.drop_journal(e.what());
   }
-  open_stream(job, n, options_);
+  open_stream(job, options_);
   job.state = JobState::kQueued;
 }
 
@@ -841,13 +824,13 @@ void Server::warm_cache_from_journal(Job& job) {
     for (const auto& [index, records] : reader.shards()) {
       if (index >= n) continue;
       cache_.insert(shard_cache_key(job.cache_prefix, job.spec.shards[index]), records);
-      job.metrics.counter("campaign.records").add(records.size());
-      job.result.per_shard[index] = records;
+      job.ledger.metrics.counter("campaign.records").add(records.size());
+      job.ledger.result.per_shard[index] = records;
       if (job.done[index] == 0) {
         job.done[index] = 1;
         --job.remaining;
         ++job.shards_cached;
-        ++job.result.shards_skipped;
+        ++job.ledger.result.shards_skipped;
       }
     }
   } catch (const common::Error&) {
@@ -857,12 +840,12 @@ void Server::warm_cache_from_journal(Job& job) {
 }
 
 void Server::persist_meta(Job& job) {
-  // The whole compose+write runs under job.mutex: two threads persisting
+  // The whole compose+write runs under job.ledger.mutex: two threads persisting
   // the same job (cancel vs. finalize) must serialize on the descriptor
   // and on the job's meta fault injector. Descriptors are tiny, so the
   // fsyncs under the lock are cheap.
   try {
-    const std::lock_guard<std::mutex> lock(job.mutex);
+    const std::lock_guard<std::mutex> lock(job.ledger.mutex);
     const std::string text = job_meta_json(job) + "\n";
     resilience::write_file_atomic(job.meta_path, text, "job descriptor",
                                   job.meta_injector.get());
@@ -922,7 +905,7 @@ void Server::recover() {
     next_id_ = std::max(next_id_, id + 1);
     std::string state_text;
     {
-      const std::lock_guard<std::mutex> jlock(job->mutex);
+      const std::lock_guard<std::mutex> jlock(job->ledger.mutex);
       state_text = to_string(job->state);
     }
     flightrec_.record(ServiceEventKind::kRecover, id, job->tenant, state_text);
@@ -930,7 +913,7 @@ void Server::recover() {
 }
 
 void Server::on_finalized(const std::shared_ptr<Job>& job) {
-  // Copy the accounting out under job.mutex, then fold it into the tenant
+  // Copy the accounting out under job.ledger.mutex, then fold it into the tenant
   // table under mutex_ — never both at once (statz takes them in the other
   // order).
   std::string tenant;
@@ -938,10 +921,10 @@ void Server::on_finalized(const std::shared_ptr<Job>& job) {
   std::uint64_t shards_run = 0;
   std::uint64_t cache_hits = 0;
   {
-    const std::lock_guard<std::mutex> jlock(job->mutex);
+    const std::lock_guard<std::mutex> jlock(job->ledger.mutex);
     tenant = job->tenant;
     state = to_string(job->state);
-    shards_run = job->result.shards_run;
+    shards_run = job->ledger.result.shards_run;
     cache_hits = job->shards_cached;
   }
   {

@@ -28,6 +28,17 @@ TEST(FlagValidation, JobsMustBePositive) {
   EXPECT_THROW((void)make({"--jobs=-2"}).get_positive_int("jobs", 1), CliError);
 }
 
+// --retries is a budget: 0 (no retries) is valid on the benches exactly as
+// on rh_serve, which shares the same shard executor; negatives are not.
+TEST(FlagValidation, RetriesAcceptsZero) {
+  EXPECT_EQ(make({"--retries=0"}).get_nonnegative_int("retries", 1), 0);
+  EXPECT_EQ(make({"--retries=3"}).get_nonnegative_int("retries", 1), 3);
+}
+
+TEST(FlagValidation, RetriesRejectsNegatives) {
+  EXPECT_THROW((void)make({"--retries=-1"}).get_nonnegative_int("retries", 1), CliError);
+}
+
 TEST(FlagValidation, StreamCycleCadenceMustBePositive) {
   EXPECT_THROW(
       (void)make({"--stream-cycle-cadence=0"}).get_positive_int("stream-cycle-cadence", 1 << 24),

@@ -6,16 +6,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "campaign/campaign.hpp"
 #include "campaign/record_io.hpp"
 #include "profiling/report.hpp"
+#include "resilience/storage.hpp"
 #include "serve/config.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -77,13 +81,18 @@ std::string wait_terminal(Server& server, std::uint64_t id) {
   }
 }
 
-/// The bench CLI path in-process: the same spec through campaign::Campaign
-/// with a report-only telemetry sink, rendered as the deterministic report.
-std::string bench_det_report(const CampaignConfig& config, unsigned jobs) {
+/// The bench CLI path in-process: the same spec (and transport fault plan)
+/// through campaign::Campaign with a report-only telemetry sink, rendered as
+/// the deterministic report. A non-empty `stream_path` also writes the
+/// run's metrics stream there.
+std::string bench_det_report(const CampaignConfig& config, unsigned jobs,
+                             const std::string& stream_path = "") {
   const campaign::SweepSpec spec = to_sweep_spec(config);
   campaign::CampaignConfig cc;
   cc.progress = false;
   cc.jobs = jobs;
+  cc.fault_plan = to_fault_plan(config);
+  cc.metrics_stream_path = stream_path;
   telemetry::TelemetryConfig tc;
   tc.trace_enabled = false;
   telemetry::Telemetry sink(tc);
@@ -95,6 +104,47 @@ std::string bench_det_report(const CampaignConfig& config, unsigned jobs) {
   profiling::write_report_json(os, report, /*include_wall=*/false);
   os << '\n';
   return os.str();
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
+}
+
+/// A metrics stream's cycles-cadence samples, sorted: the deterministic
+/// per-attempt series, independent of how shards were scheduled.
+std::vector<std::string> sorted_cycles_samples(const std::string& stream) {
+  std::vector<std::string> lines;
+  std::istringstream in(stream);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.find("\"sample\":\"cycles\"") != std::string::npos) lines.push_back(line);
+  }
+  std::sort(lines.begin(), lines.end());
+  return lines;
+}
+
+/// Runs `config` to a terminal state on a fresh server with `rigs` rigs and
+/// returns (deterministic report, metrics stream) as served over the API.
+std::pair<std::string, std::string> serve_report_and_stream(const std::string& dir,
+                                                            const CampaignConfig& config,
+                                                            unsigned rigs) {
+  Server::Options options;
+  options.data_dir = dir;
+  options.rigs = rigs;
+  Server server(options);
+  server.start();
+  const HttpResponse created = server.handle(request("POST", "/jobs", to_canonical_json(config)));
+  EXPECT_EQ(created.status, 201) << created.body;
+  const std::uint64_t id = parse(created).at("id").as_u64();
+  EXPECT_EQ(wait_terminal(server, id), "done");
+  const std::string base = "/jobs/" + std::to_string(id);
+  std::string report = server.handle(request("GET", base + "/report?det=1")).body;
+  std::string stream = server.handle(request("GET", base + "/stream")).body;
+  server.drain();
+  return {std::move(report), std::move(stream)};
 }
 
 TEST(ServeServer, EndToEndMatchesTheBenchCliPath) {
@@ -215,6 +265,77 @@ TEST(ServeServer, FaultStormJobYieldsTheSameResults) {
   const std::string stormed = run_results(storm_dir.str(), storm);
   EXPECT_FALSE(clean.empty());
   EXPECT_EQ(stormed, clean);
+}
+
+TEST(ServeServer, FaultStormMatchesTheBenchCliPathOnOneRig) {
+  // Both front ends run shards through the same executor, so under a
+  // transport-fault storm the retry path — injector serials, rebuilt rigs,
+  // attempt spans, cycles samples — must agree too. One rig and one job
+  // keep the injector serials in shard order on both paths (with several
+  // rigs they follow scheduling, so multi-rig storms are not comparable).
+  const TempDir dir("serve_server_test_storm_identity");
+  CampaignConfig storm = quick_config();
+  storm.fault_rate = 0.05;
+  storm.fault_seed = 0xB0071;
+  const auto [served_report, served_stream] =
+      serve_report_and_stream(dir.str() + "/serve", storm, 1);
+  std::filesystem::create_directories(dir.str());
+  const std::string bench_stream_path = dir.str() + "/bench.stream.jsonl";
+  EXPECT_EQ(served_report, bench_det_report(storm, 1, bench_stream_path));
+  // The storm really hit: transport faults were injected and recovered.
+  const campaign::JsonValue report = campaign::parse_json(served_report, "report");
+  EXPECT_GT(report.at("resilience").at("injected").as_u64(), 0u);
+  const std::vector<std::string> cycles = sorted_cycles_samples(served_stream);
+  EXPECT_FALSE(cycles.empty());
+  EXPECT_EQ(cycles, sorted_cycles_samples(read_file(bench_stream_path)));
+}
+
+TEST(ServeServer, CyclesSamplesMatchTheBenchCliPathOnTwoRigs) {
+  // Fault-free, the cycles series is a pure function of each shard and
+  // attempt, whichever rig ran it: sorted, the two paths agree line for line.
+  const TempDir dir("serve_server_test_cycles_identity");
+  const auto [served_report, served_stream] =
+      serve_report_and_stream(dir.str() + "/serve", quick_config(), 2);
+  std::filesystem::create_directories(dir.str());
+  const std::string bench_stream_path = dir.str() + "/bench.stream.jsonl";
+  EXPECT_EQ(served_report, bench_det_report(quick_config(), 2, bench_stream_path));
+  const std::vector<std::string> cycles = sorted_cycles_samples(served_stream);
+  EXPECT_FALSE(cycles.empty());
+  EXPECT_EQ(cycles, sorted_cycles_samples(read_file(bench_stream_path)));
+}
+
+TEST(ServeServer, JournalLostMidJobFailsTheJobButKeepsItsResults) {
+  // A disk-full on a later journal append: the shard commit drops the
+  // journal and keeps measuring, so every shard completes, yet a job whose
+  // durable record died must not claim success.
+  const TempDir dir("serve_server_test_journal_lost");
+  Server::Options options;
+  options.data_dir = dir.str();
+  options.rigs = 2;
+  options.storage_plan.script.push_back({resilience::StorageFaultKind::kEnospc, 6});
+  Server server(options);
+  server.start();
+  const HttpResponse created =
+      server.handle(request("POST", "/jobs", to_canonical_json(quick_config())));
+  ASSERT_EQ(created.status, 201) << created.body;
+  const std::uint64_t id = parse(created).at("id").as_u64();
+  EXPECT_EQ(wait_terminal(server, id), "failed");
+
+  const campaign::JsonValue status =
+      parse(server.handle(request("GET", "/jobs/" + std::to_string(id))));
+  EXPECT_EQ(status.at("error").text.rfind("storage:", 0), 0u) << status.at("error").text;
+  EXPECT_EQ(status.at("shards").at("done").as_u64(), status.at("shards").at("total").as_u64());
+  EXPECT_EQ(status.at("shards").at("failed").as_u64(), 0u);
+
+  // The journal's intact prefix still serves.
+  EXPECT_EQ(server.handle(request("GET", "/jobs/" + std::to_string(id) + "/results")).status,
+            200);
+
+  const HttpResponse flightrec = server.handle(request("GET", "/debugz/flightrec"));
+  ASSERT_EQ(flightrec.status, 200);
+  EXPECT_NE(flightrec.body.find("\"kind\":\"storage-error\""), std::string::npos)
+      << flightrec.body;
+  server.drain();
 }
 
 TEST(ServeServer, AdmissionControl) {

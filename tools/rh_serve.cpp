@@ -68,11 +68,7 @@ int main(int argc, char** argv) {
     options.port = static_cast<std::uint16_t>(port);
     options.data_dir = args.get("data-dir", "rh-serve-data");
     options.rigs = static_cast<unsigned>(args.get_positive_int("rigs", 2));
-    const std::int64_t retries = args.get_int("retries", 1);
-    if (retries < 0) {
-      throw common::CliError("--retries must be >= 0, got " + std::to_string(retries));
-    }
-    options.retries = static_cast<unsigned>(retries);
+    options.retries = static_cast<unsigned>(args.get_nonnegative_int("retries", 1));
     options.queue_limit = static_cast<std::size_t>(args.get_positive_int("queue-limit", 8));
     options.tenant_quota = static_cast<std::size_t>(args.get_positive_int("tenant-quota", 4));
     options.stream_cycle_cadence =
