@@ -17,7 +17,8 @@
 //                       latencies, throughput, fault summary) as JSON; also
 //                       forces a telemetry sink on so cmd.* counters exist
 //                       (campaign-backed benches only)
-// Campaign-backed benches (fig3/fig4/fig5, ablation_hammer_count) also take:
+// Campaign-backed benches (fig3/fig4/fig5, ablation_hammer_count,
+// ablation_fault_storm) also take:
 //   --jobs=N            worker threads, each with a private device clone;
 //                       merged output is byte-identical for any N
 //   --checkpoint=PATH   JSONL results journal written per completed shard

@@ -13,7 +13,6 @@
 #include "campaign/progress.hpp"
 #include "campaign/record_io.hpp"
 #include "common/assert.hpp"
-#include "common/rng.hpp"
 #include "telemetry/stream.hpp"
 
 namespace rh::campaign {
@@ -99,49 +98,24 @@ CampaignResult Campaign::run(const SweepSpec& spec) {
   telemetry::MetricsRegistry& metrics = ledger.metrics;
   const JournalHeader header{spec.device.fault.seed, sweep_config_hash(spec),
                              static_cast<std::uint64_t>(n)};
-  std::vector<char> done(n, 0);
 
   // Storage fault injection: the journal and the stream draw independent,
-  // reproducible fault streams decorrelated from the plan seed (and from
-  // the transport injectors' 0x819 stream).
-  std::unique_ptr<resilience::StorageFaultInjector> journal_injector;
-  std::unique_ptr<resilience::StorageFaultInjector> stream_injector;
-  if (config_.storage_fault_plan.enabled()) {
-    resilience::StorageFaultPlan splan = config_.storage_fault_plan;
-    splan.seed = common::hash_coords(config_.storage_fault_plan.seed, 0x570u, 0);
-    journal_injector = std::make_unique<resilience::StorageFaultInjector>(splan);
-    splan.seed = common::hash_coords(config_.storage_fault_plan.seed, 0x570u, 1);
-    stream_injector = std::make_unique<resilience::StorageFaultInjector>(std::move(splan));
-  }
+  // reproducible fault streams decorrelated from the plan seed.
+  const auto journal_injector = resilience::seeded_storage_injector(
+      config_.storage_fault_plan, resilience::kDurableOutputSalt, 0);
+  const auto stream_injector = resilience::seeded_storage_injector(
+      config_.storage_fault_plan, resilience::kDurableOutputSalt, 1);
 
-  // Resume: restore journaled shards, refusing a journal from a different
-  // sweep. Corrupt mid-file lines are quarantined (their shards re-run);
-  // the compacted journal is then reopened for appending the rest. A
+  // Resume restores the journaled shards (refusing a journal from a
+  // different sweep) and reopens the journal; otherwise a fresh one. A
   // storage failure is never worth the sweep: it runs without checkpoints.
-  try {
-    if (!config_.checkpoint_path.empty() && config_.resume) {
-      JournalReader reader(config_.checkpoint_path);
-      reader.require_matches(header);
-      for (const auto& [index, records] : reader.shards()) {
-        if (index >= n) continue;  // defensively ignore out-of-range entries
-        result.per_shard[index] = records;
-        done[index] = 1;
-        ++result.shards_skipped;
-        metrics.counter("campaign.records").add(records.size());
-      }
-      metrics.counter("campaign.shards_skipped").add(result.shards_skipped);
-      ledger.journal = std::make_unique<JournalWriter>(config_.checkpoint_path, reader,
-                                                       journal_injector.get());
-    } else if (!config_.checkpoint_path.empty()) {
-      ledger.journal =
-          std::make_unique<JournalWriter>(config_.checkpoint_path, header, journal_injector.get());
-    }
-  } catch (const common::StorageError& e) {
-    ledger.note_storage_error(e.what());
+  if (!config_.checkpoint_path.empty() && config_.resume) {
+    (void)ledger.resume_journal(config_.checkpoint_path, header, journal_injector.get());
+  } else if (!config_.checkpoint_path.empty()) {
+    ledger.open_journal(config_.checkpoint_path, header, journal_injector.get());
   }
 
-  const auto pending =
-      static_cast<std::size_t>(std::count(done.begin(), done.end(), char{0}));
+  const std::size_t pending = n - result.shards_skipped;
   unsigned jobs = std::max(1u, config_.jobs);
   jobs = static_cast<unsigned>(std::min<std::size_t>(jobs, std::max<std::size_t>(pending, 1)));
   ledger.workers.resize(jobs);
@@ -180,7 +154,7 @@ CampaignResult Campaign::run(const SweepSpec& spec) {
     for (;;) {
       const std::size_t i = next.fetch_add(1);
       if (i >= n) break;
-      if (done[i] != 0) continue;
+      if (ledger.shard_done(i)) continue;
       {
         const std::lock_guard<std::mutex> lock(ledger.mutex);
         ledger.claim(widx, i);

@@ -39,6 +39,7 @@ std::unique_ptr<bender::BenderHost> default_host(const SweepSpec& spec) {
 void RunLedger::begin(std::size_t shards) {
   result = CampaignResult{};
   result.per_shard.resize(shards);
+  done_.assign(shards, 0);
   spans.clear();  // spans describe one run; metrics/profile accumulate
   journal.reset();
   journal_lost = false;
@@ -62,6 +63,44 @@ void RunLedger::begin(std::size_t shards) {
   (void)shard_wall_histogram(metrics);
 }
 
+void RunLedger::open_journal(const std::string& path, const JournalHeader& header,
+                             resilience::StorageFaultInjector* injector) {
+  try {
+    journal = std::make_unique<JournalWriter>(path, header, injector);
+  } catch (const common::StorageError& e) {
+    drop_journal(e.what());
+  }
+}
+
+std::vector<std::uint64_t> RunLedger::resume_journal(const std::string& path,
+                                                     const JournalHeader& header,
+                                                     resilience::StorageFaultInjector* injector) {
+  const JournalReader reader(path);
+  reader.require_matches(header);
+  std::vector<std::uint64_t> restored;
+  for (const auto& [index, records] : reader.shards()) {
+    if (restore(index, records)) restored.push_back(index);
+  }
+  // The file holds every restored shard now: a failed reopen must drop the
+  // journal, never fall back to a fresh (truncating) one.
+  try {
+    journal = std::make_unique<JournalWriter>(path, reader, injector);
+  } catch (const common::Error& e) {
+    drop_journal(e.what());
+  }
+  return restored;
+}
+
+bool RunLedger::restore(std::uint64_t shard, std::vector<core::RowRecord> records) {
+  if (shard >= done_.size() || done_[shard] != 0) return false;
+  done_[shard] = 1;
+  metrics.counter("campaign.records").add(records.size());
+  metrics.counter("campaign.shards_skipped").add();
+  result.per_shard[shard] = std::move(records);
+  ++result.shards_skipped;
+  return true;
+}
+
 void RunLedger::open_stream(const std::string& path, const telemetry::MetricsStreamHeader& header,
                             resilience::StorageFaultInjector* injector) {
   try {
@@ -82,6 +121,17 @@ void RunLedger::drop_journal(const std::string& what) {
   note_storage_error(what);
 }
 
+std::string RunLedger::append_journal(const std::function<void(JournalWriter&)>& write) {
+  if (journal == nullptr) return "";
+  try {
+    write(*journal);
+  } catch (const common::StorageError& e) {
+    drop_journal(e.what());
+    return e.what();
+  }
+  return "";
+}
+
 void RunLedger::claim(unsigned worker, std::uint64_t shard) {
   workers[worker].shard = static_cast<std::int64_t>(shard);
   workers[worker].claim = std::chrono::steady_clock::now();
@@ -90,22 +140,15 @@ void RunLedger::claim(unsigned worker, std::uint64_t shard) {
 std::string RunLedger::commit(unsigned worker, ShardResult outcome,
                               profiling::Profile& worker_profile) {
   const std::uint64_t i = outcome.shard;
-  std::string journal_error;
-  if (journal != nullptr) {
-    // A storage failure is never worth a shard: drop the journal, keep the
-    // result in memory, keep measuring.
-    try {
-      if (outcome.ok) {
-        const profiling::PhaseTimer timer(worker_profile, profiling::Phase::kCheckpoint);
-        journal->append_shard(i, outcome.records, outcome.wall_ms, outcome.attempts);
-      } else {
-        journal->append_failure(i, outcome.attempts, outcome.error);
-      }
-    } catch (const common::StorageError& e) {
-      journal_error = e.what();
-      drop_journal(journal_error);
+  std::string journal_error = append_journal([&](JournalWriter& writer) {
+    if (outcome.ok) {
+      const profiling::PhaseTimer timer(worker_profile, profiling::Phase::kCheckpoint);
+      writer.append_shard(i, outcome.records, outcome.wall_ms, outcome.attempts);
+    } else {
+      writer.append_failure(i, outcome.attempts, outcome.error);
     }
-  }
+  });
+  done_[i] = 1;
   if (outcome.fatal) metrics.counter("campaign.shards_fatal").add();
   if (outcome.ok) {
     metrics.counter("campaign.records").add(outcome.records.size());

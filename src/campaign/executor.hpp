@@ -15,8 +15,10 @@
 //     returns a ShardResult; retire() folds a rig into the ledger.
 //   * RunLedger — everything one run accumulates (result, counters, fleet
 //     profile, span forest, journal, metrics stream, worker status) and
-//     the operations on it: commit a shard's result, format a wall sample,
-//     finish the run. Its `mutex` is the run lock.
+//     the operations on it: open or resume the journal, restore a shard as
+//     skipped (the one restore path of both front ends), commit a shard's
+//     result, format a wall sample, finish the run. Its `mutex` is the run
+//     lock.
 //
 // What stays with each front end is scheduling: which worker runs which
 // shard, when a rig retires, and what a caller does beyond the ledger
@@ -83,6 +85,23 @@ public:
   /// registers the campaign counter set. No lock needed (nothing runs yet).
   void begin(std::size_t shards);
 
+  /// Creates a fresh journal (truncating `path`); a storage failure drops
+  /// it, an unopenable path throws common::ConfigError.
+  void open_journal(const std::string& path, const JournalHeader& header,
+                    resilience::StorageFaultInjector* injector);
+  /// Reads the journal at `path` and checks its header (common::ConfigError
+  /// before anything is restored), restores every journaled shard, then
+  /// reopens the journal for appending. A failed reopen drops the journal
+  /// and never truncates the file. Returns the restored shards, ascending.
+  std::vector<std::uint64_t> resume_journal(const std::string& path, const JournalHeader& header,
+                                            resilience::StorageFaultInjector* injector);
+  /// Restores `shard` as skipped: completion bit, records, shards_skipped
+  /// and the campaign.shards_skipped/records counters. False (no change)
+  /// when the shard is out of range or already done.
+  bool restore(std::uint64_t shard, std::vector<core::RowRecord> records);
+  /// True once `shard` was restored or committed (failures included).
+  [[nodiscard]] bool shard_done(std::uint64_t shard) const { return done_[shard] != 0; }
+
   /// Opens the metrics stream (header first, fsync'd); a storage failure
   /// is noted and the run goes streamless.
   void open_stream(const std::string& path, const telemetry::MetricsStreamHeader& header,
@@ -92,12 +111,14 @@ public:
   void note_storage_error(const std::string& what);
   /// The journal died: drop the writer (results stay in memory) and note it.
   void drop_journal(const std::string& what);
+  /// Runs `write` on the journal, if any. A storage failure drops the
+  /// journal, never the shard, and is returned ("" otherwise).
+  std::string append_journal(const std::function<void(JournalWriter&)>& write);
 
   /// Worker `worker` starts shard `shard`.
   void claim(unsigned worker, std::uint64_t shard);
-  /// Folds a finished shard into the run: journal line (a storage failure
-  /// drops the journal, never the shard), counters, result, timings,
-  /// histogram, worker status. The checkpoint phase is timed into
+  /// Folds a finished shard into the run: journal line (through
+  /// append_journal), counters, result, timings, histogram, worker status. The checkpoint phase is timed into
   /// `worker_profile`. Returns the storage error that cost the journal on
   /// this commit, "" when the journal survived (or there was none).
   std::string commit(unsigned worker, ShardResult outcome, profiling::Profile& worker_profile);
@@ -132,6 +153,7 @@ public:
   std::atomic<std::uint64_t> rig_serial{0};
 
 private:
+  std::vector<char> done_;              ///< per-shard completion, plan order
   telemetry::CounterValues last_wall_;  ///< previous wall sample's counters
 };
 

@@ -36,20 +36,6 @@ std::string header_line(const JournalHeader& header) {
          "}";
 }
 
-/// Drop the torn residue of a kill mid-append before writing anything new;
-/// appending after it would turn an ignorable trailing tear into mid-file
-/// corruption on the next read.
-void truncate_for_resume(const std::string& path, std::uint64_t keep_bytes) {
-  std::error_code ec;
-  const std::uintmax_t size = std::filesystem::file_size(path, ec);
-  if (!ec && keep_bytes < size) {
-    std::filesystem::resize_file(path, keep_bytes, ec);
-  }
-  if (ec) {
-    throw common::ConfigError("cannot truncate checkpoint journal for resume: " + path);
-  }
-}
-
 }  // namespace
 
 std::uint64_t fnv1a(std::string_view text) {
@@ -69,19 +55,21 @@ JournalWriter::JournalWriter(const std::string& path, const JournalHeader& heade
   write_line(header_line(header));
 }
 
-JournalWriter::JournalWriter(const std::string& path, std::uint64_t keep_bytes,
-                             resilience::StorageFaultInjector* injector)
-    : path_(path) {
-  truncate_for_resume(path, keep_bytes);
-  file_ = std::make_unique<resilience::DurableFile>(path, "checkpoint journal",
-                                                    /*truncate=*/false, injector);
-}
-
 JournalWriter::JournalWriter(const std::string& path, const JournalReader& reader,
                              resilience::StorageFaultInjector* injector)
     : path_(path) {
   if (reader.corrupt_lines().empty()) {
-    truncate_for_resume(path, reader.intact_bytes());
+    // Drop the torn residue of a kill mid-append before writing anything
+    // new; appending after it would turn an ignorable trailing tear into
+    // mid-file corruption on the next read.
+    std::error_code ec;
+    const std::uintmax_t size = std::filesystem::file_size(path, ec);
+    if (!ec && reader.intact_bytes() < size) {
+      std::filesystem::resize_file(path, reader.intact_bytes(), ec);
+    }
+    if (ec) {
+      throw common::ConfigError("cannot truncate checkpoint journal for resume: " + path);
+    }
   } else {
     // Quarantine-and-compact: the damaged lines move verbatim to a sidecar
     // (nothing is ever silently discarded), then the journal is rewritten

@@ -69,18 +69,15 @@ public:
   /// `injector` may be null and must outlive the writer.
   JournalWriter(const std::string& path, const JournalHeader& header,
                 resilience::StorageFaultInjector* injector = nullptr);
-  /// Reopens an existing journal for appending (resume), first truncating
-  /// it to `keep_bytes` — JournalReader::intact_bytes() — so a torn
-  /// trailing line from a kill never ends up *preceding* appended lines.
-  /// The caller is responsible for having validated the header.
-  JournalWriter(const std::string& path, std::uint64_t keep_bytes,
-                resilience::StorageFaultInjector* injector = nullptr);
-  /// Resume from a fully classified read: tail-only damage truncates (as
-  /// above); mid-file corrupt lines are appended verbatim to
-  /// `path`.quarantine and the journal is compacted — header plus every
-  /// intact line rewritten atomically — before reopening for append. The
-  /// quarantined shards are absent from reader.shards(), so resume re-runs
-  /// exactly them.
+  /// Reopens an existing journal for appending (resume) from a fully
+  /// classified read. Tail-only damage truncates the file to
+  /// reader.intact_bytes(), so a torn trailing line from a kill never ends
+  /// up *preceding* appended lines. Mid-file corrupt lines are appended
+  /// verbatim to `path`.quarantine and the journal is compacted — header
+  /// plus every intact line rewritten atomically — before reopening for
+  /// append. The quarantined shards are absent from reader.shards(), so
+  /// resume re-runs exactly them. The caller is responsible for having
+  /// validated the header.
   JournalWriter(const std::string& path, const JournalReader& reader,
                 resilience::StorageFaultInjector* injector = nullptr);
   ~JournalWriter();

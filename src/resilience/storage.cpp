@@ -95,6 +95,15 @@ std::uint64_t StorageFaultInjector::shape() {
   return common::hash_coords(plan_.seed, kShapeTag, shape_counter_++);
 }
 
+std::unique_ptr<StorageFaultInjector> seeded_storage_injector(const StorageFaultPlan& plan,
+                                                              std::uint64_t salt, std::uint64_t a,
+                                                              std::uint64_t b) {
+  if (!plan.enabled()) return nullptr;
+  StorageFaultPlan seeded = plan;
+  seeded.seed = common::hash_coords(plan.seed, salt, a, b);
+  return std::make_unique<StorageFaultInjector>(std::move(seeded));
+}
+
 std::string StorageFaultInjector::log_string() const {
   std::string out;
   for (const StorageFaultRecord& record : log_) {

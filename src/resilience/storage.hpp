@@ -26,6 +26,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -130,6 +131,15 @@ private:
   std::vector<StorageFaultRecord> log_;
   Stats stats_;
 };
+
+/// Salt of a run's durable outputs' fault streams (journal, stream, job
+/// descriptor), apart from the transport injectors' streams.
+inline constexpr std::uint64_t kDurableOutputSalt = 0x570u;
+
+/// One durable output's injector: null when `plan` is disabled, otherwise
+/// `plan` reseeded hash_coords(plan.seed, salt, a, b).
+[[nodiscard]] std::unique_ptr<StorageFaultInjector> seeded_storage_injector(
+    const StorageFaultPlan& plan, std::uint64_t salt, std::uint64_t a, std::uint64_t b = 0);
 
 // ---------------------------------------------------------------------------
 // CRC-32 line framing: the v2 record format shared by the campaign journal

@@ -4,9 +4,9 @@
 // profile, span sheet, journal, metrics stream, worker status — the same
 // ledger Campaign::run() keeps, filled by the same campaign::ShardExecutor
 // (scheduler.hpp), so a job's deterministic report is byte-identical to
-// running its config through the bench CLI path. On top of the ledger the
-// job holds what only the service has: tenant, state, per-shard completion
-// for the rig pool, cache accounting, and its on-disk paths.
+// running its config through the bench CLI path (per-shard completion
+// included). On top of the ledger the job holds what only the service has:
+// tenant, state, remaining shards, cache accounting, and its on-disk paths.
 //
 // On-disk footprint, all under the server's data dir and all named by id:
 //   job-<id>.json           descriptor (tenant, state, canonical config) —
@@ -16,8 +16,9 @@
 //   job-<id>.report.json    rh-run-report/v1, written at finalize
 //   job-<id>.report.det.json  the deterministic projection of the same
 //
-// The journal doubles as the job's durable result set: resume restores it,
-// the cache warms from it, and GET /jobs/<id>/results flattens it.
+// The journal doubles as the job's durable result set: a restart resumes
+// it (RunLedger::resume_journal, as `--resume` does) or warms the cache
+// from it, and GET /jobs/<id>/results flattens it.
 #pragma once
 
 #include <atomic>
@@ -67,8 +68,7 @@ struct Job {
   std::atomic<bool> cancel{false};
   std::string error;  ///< first fatal failure / finalize error, for the API
 
-  std::vector<char> done;        ///< per-shard completion, plan order
-  std::size_t remaining = 0;     ///< shards not yet completed or failed
+  std::size_t remaining = 0;     ///< shards not yet restored, completed or failed
   std::uint64_t shards_cached = 0;  ///< answered from the result cache
   unsigned rigs_attached = 0;    ///< rigs currently holding this job's state
   bool finalized = false;

@@ -29,8 +29,8 @@ void Scheduler::enqueue(const std::shared_ptr<Job>& job) {
   std::vector<std::uint64_t> pending;
   {
     const std::lock_guard<std::mutex> lock(job->ledger.mutex);
-    for (std::size_t i = 0; i < job->done.size(); ++i) {
-      if (job->done[i] == 0) pending.push_back(i);
+    for (std::size_t i = 0; i < job->spec.shards.size(); ++i) {
+      if (!job->ledger.shard_done(i)) pending.push_back(i);
     }
   }
   if (pending.empty()) {
@@ -227,7 +227,7 @@ void Scheduler::run_task(unsigned rig_index, Rig& rig, const Task& task) {
   const std::uint64_t i = task.shard;
   {
     const std::lock_guard<std::mutex> lock(ledger.mutex);
-    if (job.done[i] != 0 || !job_state_active(job.state)) return;
+    if (ledger.shard_done(i) || !job_state_active(job.state)) return;
     job.state = JobState::kRunning;
     ledger.claim(rig_index, i);
   }
@@ -257,7 +257,6 @@ void Scheduler::run_task(unsigned rig_index, Rig& rig, const Task& task) {
       options_.flightrec->record(ServiceEventKind::kStorageError, job.id, job.tenant,
                                  journal_error);
     }
-    job.done[i] = 1;
     --job.remaining;
     finished = job.remaining == 0;
     // Wall samples land at shard completions instead of on a timer.

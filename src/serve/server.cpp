@@ -11,7 +11,6 @@
 #include "campaign/journal.hpp"
 #include "campaign/record_io.hpp"
 #include "common/error.hpp"
-#include "common/rng.hpp"
 #include "resilience/storage.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/prometheus.hpp"
@@ -85,6 +84,12 @@ void open_stream(Job& job, const Server::Options& options) {
                          job.stream_injector.get());
 }
 
+/// The identity line a job's journal carries (and is checked against).
+campaign::JournalHeader journal_header(const Job& job) {
+  return {job.spec.device.fault.seed, job.hash,
+          static_cast<std::uint64_t>(job.spec.shards.size())};
+}
+
 }  // namespace
 
 Server::Server(Options options)
@@ -117,13 +122,9 @@ std::string Server::job_path(std::uint64_t id, const char* suffix) const {
 void Server::start() {
   std::filesystem::create_directories(options_.data_dir);
   try {
-    if (options_.storage_plan.enabled()) {
-      // The access log gets its own fault stream, decorrelated from every
-      // job's durable outputs.
-      resilience::StorageFaultPlan aplan = options_.storage_plan;
-      aplan.seed = common::hash_coords(options_.storage_plan.seed, 0x0b5u, 0);
-      access_injector_ = std::make_unique<resilience::StorageFaultInjector>(std::move(aplan));
-    }
+    // The access log gets its own fault stream, decorrelated from every
+    // job's durable outputs.
+    access_injector_ = resilience::seeded_storage_injector(options_.storage_plan, 0x0b5u, 0);
     access_log_ = std::make_unique<AccessLog>(options_.access_log, access_injector_.get());
   } catch (const common::Error& e) {
     // An unopenable access log degrades the server, it does not stop it.
@@ -696,19 +697,16 @@ std::shared_ptr<Job> Server::make_job(std::uint64_t id, const std::string& tenan
   job->report_path = job_path(id, ".report.json");
   job->det_report_path = job_path(id, ".report.det.json");
   job->meta_path = job_path(id, ".json");
-  if (options_.storage_plan.enabled()) {
-    // One independent fault stream per durable output, decorrelated by job
-    // id so two jobs' storms never move each other.
-    resilience::StorageFaultPlan splan = options_.storage_plan;
-    splan.seed = common::hash_coords(options_.storage_plan.seed, 0x570u, id, 0);
-    job->journal_injector = std::make_unique<resilience::StorageFaultInjector>(splan);
-    splan.seed = common::hash_coords(options_.storage_plan.seed, 0x570u, id, 1);
-    job->stream_injector = std::make_unique<resilience::StorageFaultInjector>(splan);
-    splan.seed = common::hash_coords(options_.storage_plan.seed, 0x570u, id, 2);
-    job->meta_injector = std::make_unique<resilience::StorageFaultInjector>(std::move(splan));
-  }
+  // One independent fault stream per durable output, decorrelated by job
+  // id so two jobs' storms never move each other.
+  const resilience::StorageFaultPlan& plan = options_.storage_plan;
+  job->journal_injector =
+      resilience::seeded_storage_injector(plan, resilience::kDurableOutputSalt, id, 0);
+  job->stream_injector =
+      resilience::seeded_storage_injector(plan, resilience::kDurableOutputSalt, id, 1);
+  job->meta_injector =
+      resilience::seeded_storage_injector(plan, resilience::kDurableOutputSalt, id, 2);
   const std::size_t n = job->spec.shards.size();
-  job->done.assign(n, 0);
   job->remaining = n;
   job->ledger.begin(n);
   job->ledger.workers.resize(std::max(1u, options_.rigs));
@@ -721,25 +719,25 @@ std::shared_ptr<Job> Server::make_job(std::uint64_t id, const std::string& tenan
   return job;
 }
 
+void Server::restore_cached(Job& job, std::uint64_t shard) {
+  cache_.insert(shard_cache_key(job.cache_prefix, job.spec.shards[shard]),
+                job.ledger.result.per_shard[shard]);
+  --job.remaining;
+  ++job.shards_cached;
+}
+
 void Server::prepare_fresh(Job& job) {
-  const std::size_t n = job.spec.shards.size();
-  const campaign::JournalHeader header{job.spec.device.fault.seed, job.hash,
-                                       static_cast<std::uint64_t>(n)};
   campaign::RunLedger& ledger = job.ledger;
-  try {
-    ledger.journal = std::make_unique<campaign::JournalWriter>(job.journal_path, header,
-                                                               job.journal_injector.get());
-  } catch (const common::StorageError& e) {
-    ledger.drop_journal(e.what());  // admitted, but it can never claim success
-  }
+  // A journal that cannot be created leaves the job admitted, but it can
+  // never claim success.
+  ledger.open_journal(job.journal_path, journal_header(job), job.journal_injector.get());
   open_stream(job, options_);
 
   // Probe the cache shard by shard: a superset sweep only simulates the
   // shards the cache has never seen. Hits replay through the same
   // accounting as a `--resume` skip, journal line included, so downstream
   // consumers cannot tell a cached shard from a journaled one.
-  std::uint64_t skipped = 0;
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < job.spec.shards.size(); ++i) {
     std::vector<core::RowRecord> records;
     const auto lookup_start = std::chrono::steady_clock::now();
     const bool hit =
@@ -748,94 +746,39 @@ void Server::prepare_fresh(Job& job) {
     metrics_.observe("serve.cache_lookup_us", lookup_us);
     if (!hit) continue;
     metrics_.observe("serve.cache_hit_us", lookup_us);
-    if (ledger.journal != nullptr) {
-      try {
-        ledger.journal->append_shard(i, records);
-      } catch (const common::StorageError& e) {
-        ledger.drop_journal(e.what());
-      }
-    }
-    ledger.metrics.counter("campaign.records").add(records.size());
-    ledger.result.per_shard[i] = std::move(records);
-    job.done[i] = 1;
+    (void)ledger.append_journal(
+        [&](campaign::JournalWriter& writer) { writer.append_shard(i, records); });
+    (void)ledger.restore(i, std::move(records));
     --job.remaining;
     ++job.shards_cached;
-    ++ledger.result.shards_skipped;
-    ++skipped;
   }
-  if (skipped > 0) ledger.metrics.counter("campaign.shards_skipped").add(skipped);
 }
 
 void Server::prepare_resumed(Job& job) {
-  const std::size_t n = job.spec.shards.size();
-  const campaign::JournalHeader header{job.spec.device.fault.seed, job.hash,
-                                       static_cast<std::uint64_t>(n)};
-  campaign::RunLedger& ledger = job.ledger;
   try {
-    bool reopened = false;
-    std::error_code ec;
-    if (std::filesystem::exists(job.journal_path, ec)) {
-      try {
-        campaign::JournalReader reader(job.journal_path);
-        reader.require_matches(header);
-        std::uint64_t skipped = 0;
-        for (const auto& [index, records] : reader.shards()) {
-          if (index >= n) continue;
-          cache_.insert(shard_cache_key(job.cache_prefix, job.spec.shards[index]), records);
-          ledger.metrics.counter("campaign.records").add(records.size());
-          ledger.result.per_shard[index] = records;
-          job.done[index] = 1;
-          --job.remaining;
-          ++job.shards_cached;
-          ++ledger.result.shards_skipped;
-          ++skipped;
-        }
-        if (skipped > 0) ledger.metrics.counter("campaign.shards_skipped").add(skipped);
-        // Quarantine-and-compact: corrupt mid-file lines move to the
-        // .quarantine sidecar and exactly their shards stay pending.
-        ledger.journal = std::make_unique<campaign::JournalWriter>(job.journal_path, reader,
-                                                                   job.journal_injector.get());
-        reopened = true;
-      } catch (const common::ConfigError&) {
-        // Destroyed header (or a journal from another sweep): nothing in it
-        // can be trusted, so every shard re-runs into a fresh journal.
-      }
+    for (const std::uint64_t shard : job.ledger.resume_journal(
+             job.journal_path, journal_header(job), job.journal_injector.get())) {
+      restore_cached(job, shard);
     }
-    if (!reopened) {
-      ledger.journal = std::make_unique<campaign::JournalWriter>(job.journal_path, header,
-                                                                 job.journal_injector.get());
-    }
-  } catch (const common::StorageError& e) {
-    ledger.drop_journal(e.what());
+  } catch (const common::ConfigError&) {
+    // No journal, a destroyed header, or a journal from another sweep:
+    // nothing in it can be trusted, so every shard re-runs into a fresh one.
+    job.ledger.open_journal(job.journal_path, journal_header(job), job.journal_injector.get());
   }
   open_stream(job, options_);
   job.state = JobState::kQueued;
 }
 
 void Server::warm_cache_from_journal(Job& job) {
-  std::error_code ec;
-  if (!std::filesystem::exists(job.journal_path, ec)) return;
   try {
-    campaign::JournalReader reader(job.journal_path);
-    const campaign::JournalHeader header{job.spec.device.fault.seed, job.hash,
-                                         static_cast<std::uint64_t>(job.spec.shards.size())};
-    reader.require_matches(header);
-    const std::size_t n = job.spec.shards.size();
+    const campaign::JournalReader reader(job.journal_path);
+    reader.require_matches(journal_header(job));
     for (const auto& [index, records] : reader.shards()) {
-      if (index >= n) continue;
-      cache_.insert(shard_cache_key(job.cache_prefix, job.spec.shards[index]), records);
-      job.ledger.metrics.counter("campaign.records").add(records.size());
-      job.ledger.result.per_shard[index] = records;
-      if (job.done[index] == 0) {
-        job.done[index] = 1;
-        --job.remaining;
-        ++job.shards_cached;
-        ++job.ledger.result.shards_skipped;
-      }
+      if (job.ledger.restore(index, records)) restore_cached(job, index);
     }
   } catch (const common::Error&) {
-    // A terminal job's journal that fails validation only costs cache
-    // warmth — the job's report on disk is still served as-is.
+    // A terminal job's journal that is missing or fails validation only
+    // costs cache warmth — the job's report on disk is still served as-is.
   }
 }
 

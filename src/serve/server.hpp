@@ -196,13 +196,15 @@ private:
   /// sink. Shared by submit and recovery.
   [[nodiscard]] std::shared_ptr<Job> make_job(std::uint64_t id, const std::string& tenant,
                                               CampaignConfig config);
-  /// Fresh submission: open journal + stream, probe the cache, journal the
-  /// cache-served shards.
+  /// Fresh submission: open journal + stream, probe the cache, restore and
+  /// journal the cache-served shards.
   void prepare_fresh(Job& job);
-  /// Restart path: restore journaled shards (as skipped), reopen the
-  /// journal for appending, fresh stream file.
+  /// Restart path: RunLedger::resume_journal, or a fresh journal when the
+  /// old one's header cannot be trusted; fresh stream file.
   void prepare_resumed(Job& job);
   void warm_cache_from_journal(Job& job);
+  /// Caches a shard restored from the journal and counts it as cached.
+  void restore_cached(Job& job, std::uint64_t shard);
   void persist_meta(Job& job);
   void recover();
   void on_finalized(const std::shared_ptr<Job>& job);

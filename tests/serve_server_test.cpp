@@ -338,6 +338,133 @@ TEST(ServeServer, JournalLostMidJobFailsTheJobButKeepsItsResults) {
   server.drain();
 }
 
+// ---------------------------------------------------------------------------
+// Restart recovery: a second Server on the same data dir.
+// ---------------------------------------------------------------------------
+
+/// Runs quick_config() to "done" as job 1 on a server over `dir` and
+/// returns its /results body. The server is gone on return, so the caller
+/// can restart another one on the same data dir.
+std::string run_job_to_done(const std::string& dir) {
+  Server::Options options;
+  options.data_dir = dir;
+  options.rigs = 2;
+  Server server(options);
+  server.start();
+  const HttpResponse created =
+      server.handle(request("POST", "/jobs", to_canonical_json(quick_config())));
+  EXPECT_EQ(created.status, 201) << created.body;
+  EXPECT_EQ(parse(created).at("id").as_u64(), 1u);
+  EXPECT_EQ(wait_terminal(server, 1), "done");
+  const HttpResponse results = server.handle(request("GET", "/jobs/1/results"));
+  EXPECT_EQ(results.status, 200);
+  server.drain();
+  return results.body;
+}
+
+/// Rewrites job 1's descriptor as a kill mid-job leaves it: state running.
+void mark_job_running(const std::string& dir) {
+  const std::string path = dir + "/job-1.json";
+  std::string text = read_file(path);
+  const std::string done = "\"state\":\"done\"";
+  const std::string::size_type at = text.find(done);
+  ASSERT_NE(at, std::string::npos) << text;
+  text.replace(at, done.size(), "\"state\":\"running\"");
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
+}
+
+/// Replaces the `line_no`-th (0-based) line of a file with `with` (or, when
+/// `with` is empty, flips one byte in its middle: mid-file bit rot).
+void damage_line(const std::string& path, std::size_t line_no, const std::string& with = "") {
+  std::string content = read_file(path);
+  std::size_t start = 0;
+  for (std::size_t i = 0; i < line_no; ++i) start = content.find('\n', start) + 1;
+  const std::size_t end = content.find('\n', start);
+  ASSERT_NE(end, std::string::npos);
+  if (with.empty()) {
+    content[start + (end - start) / 2] ^= 0x01;
+  } else {
+    content.replace(start, end - start, with);
+  }
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << content;
+}
+
+std::size_t count_lines(const std::string& text) {
+  return static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n'));
+}
+
+TEST(ServeServer, RestartRecoversATerminalJobAndWarmsTheCache) {
+  const TempDir dir("serve_server_test_restart_terminal");
+  const std::string results = run_job_to_done(dir.str());
+
+  Server::Options options;
+  options.data_dir = dir.str();
+  options.rigs = 2;
+  Server server(options);
+  server.start();
+  const campaign::JsonValue status = parse(server.handle(request("GET", "/jobs/1")));
+  EXPECT_EQ(status.at("state").text, "done");
+  EXPECT_EQ(status.at("shards").at("done").as_u64(), status.at("shards").at("total").as_u64());
+  EXPECT_EQ(status.at("shards").at("remaining").as_u64(), 0u);
+  EXPECT_EQ(server.handle(request("GET", "/jobs/1/results")).body, results);
+
+  // The recovered journal warmed the cache: resubmitting simulates nothing.
+  const HttpResponse again =
+      server.handle(request("POST", "/jobs", to_canonical_json(quick_config())));
+  ASSERT_EQ(again.status, 201) << again.body;
+  EXPECT_EQ(parse(again).at("cache_hit").boolean, true) << again.body;
+  const campaign::JsonValue statz =
+      campaign::parse_json(server.handle(request("GET", "/statz")).body, "statz");
+  EXPECT_EQ(statz.at("campaign.shards_run").as_u64(), 0u);
+  server.drain();
+}
+
+TEST(ServeServer, RestartWithADestroyedJournalHeaderReRunsEveryShard) {
+  const TempDir dir("serve_server_test_restart_header");
+  const std::string results = run_job_to_done(dir.str());
+  mark_job_running(dir.str());
+  damage_line(dir.str() + "/job-1.journal.jsonl", 0, "{\"not\":\"a journal header\"}");
+
+  Server::Options options;
+  options.data_dir = dir.str();
+  options.rigs = 2;
+  Server server(options);
+  server.start();
+  EXPECT_EQ(wait_terminal(server, 1), "done");
+  const campaign::JsonValue status = parse(server.handle(request("GET", "/jobs/1")));
+  EXPECT_EQ(status.at("shards").at("cached").as_u64(), 0u);
+  EXPECT_EQ(server.handle(request("GET", "/jobs/1/results")).body, results);
+  server.drain();
+}
+
+TEST(ServeServer, ResumeWhoseJournalCannotBeReopenedKeepsItsResults) {
+  // Resume restores the intact shards, then the compacting reopen fails
+  // (the quarantine sidecar cannot be opened). The journal must be dropped,
+  // not truncated: the job fails with a storage error and the file still
+  // serves every restored shard.
+  const TempDir dir("serve_server_test_restart_reopen");
+  const std::string results = run_job_to_done(dir.str());
+  ASSERT_EQ(count_lines(results), 36u);
+  mark_job_running(dir.str());
+  const std::string journal = dir.str() + "/job-1.journal.jsonl";
+  damage_line(journal, 5);
+  std::filesystem::create_directories(journal + ".quarantine");
+
+  Server::Options options;
+  options.data_dir = dir.str();
+  options.rigs = 2;
+  Server server(options);
+  server.start();
+  EXPECT_EQ(wait_terminal(server, 1), "failed");
+  const campaign::JsonValue status = parse(server.handle(request("GET", "/jobs/1")));
+  EXPECT_EQ(status.at("error").text.rfind("storage:", 0), 0u) << status.at("error").text;
+  EXPECT_EQ(status.at("shards").at("cached").as_u64(), 17u);
+  const HttpResponse served = server.handle(request("GET", "/jobs/1/results"));
+  ASSERT_EQ(served.status, 200);
+  EXPECT_EQ(count_lines(served.body), 34u) << "the 17 intact shards' rows survive";
+  server.drain();
+}
+
 TEST(ServeServer, AdmissionControl) {
   // No start(): the scheduler has no rig threads, so admitted jobs stay
   // queued and admission decisions are deterministic.

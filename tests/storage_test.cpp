@@ -347,7 +347,7 @@ TEST(JournalDamage, MixedV1PrefixWithV2AppendsReads) {
             "{\"shard\":0,\"records\":[]}\n");
   {
     const JournalReader before(path.str());
-    JournalWriter writer(path.str(), before.intact_bytes());
+    JournalWriter writer(path.str(), before);
     writer.append_shard(1, {minimal_record(3)}, 10.0, 1);
   }
   const JournalReader reader(path.str());
@@ -373,7 +373,7 @@ TEST(JournalDamage, TornTailIsIgnoredAndDroppedOnResume) {
 
   // Resume truncates the tear; the next append must not fuse onto it.
   {
-    JournalWriter writer(path.str(), reader.intact_bytes());
+    JournalWriter writer(path.str(), reader);
     writer.append_shard(1, {minimal_record(2)}, 5.0, 1);
   }
   const JournalReader after(path.str());
