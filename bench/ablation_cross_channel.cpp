@@ -48,7 +48,6 @@ int main(int argc, char** argv) {
   const auto& geometry = host.device().geometry();
   const std::uint32_t victim = 2048;
   const auto hammers = static_cast<std::uint64_t>(args.get_positive_int("hammers", 262144));
-  benchutil::warn_unqueried(args);
 
   common::Table table({"victim channel", "aggressor channel", "victim flips"});
   for (std::uint32_t victim_ch = 0; victim_ch < geometry.channels; ++victim_ch) {

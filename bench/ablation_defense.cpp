@@ -35,7 +35,6 @@ int main(int argc, char** argv) {
   host.set_chip_temperature(85.0);
   const core::RowMap map = core::RowMap::from_device(host.device());
   const auto rows = static_cast<std::uint32_t>(args.get_positive_int("rows", 24));
-  benchutil::warn_unqueried(args);
 
   core::CharacterizerConfig ccfg;
   ccfg.wcdp_tolerance = 1024;

@@ -50,7 +50,6 @@ int main(int argc, char** argv) {
       campaign::survey_sweep(benchutil::paper_device_config(seed), survey);
 
   campaign::CampaignConfig config = benchutil::campaign_config(args);
-  benchutil::warn_unqueried(args);
 
   // Baseline: same spec, same jobs, no injector.
   campaign::CampaignConfig baseline_config = config;

@@ -48,7 +48,6 @@ int main(int argc, char** argv) {
 
   campaign::Campaign campaign(benchutil::campaign_config(args), telem.sink());
   const auto result = campaign.run(spec);
-  benchutil::warn_unqueried(args);
 
   common::Table table({"hammers", "ch0 mean BER", "ch7 mean BER", "ch0 rows flipped",
                        "ch7 rows flipped"});

@@ -28,7 +28,6 @@ int main(int argc, char** argv) {
   const core::Site site{0, 0, 0};
   const auto rows = static_cast<std::uint32_t>(args.get_positive_int("rows", 8));
   const auto base_row = static_cast<std::uint32_t>(args.get_int("base-row", 1024));
-  benchutil::warn_unqueried(args);
 
   const core::RowMap map = core::RowMap::from_device(host.device());
 

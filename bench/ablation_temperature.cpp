@@ -21,7 +21,6 @@ int main(int argc, char** argv) {
   benchutil::TelemetrySession telem(args, host);
   const core::Site site{0, 0, 0};
   const auto rows = static_cast<std::uint32_t>(args.get_positive_int("rows", 12));
-  benchutil::warn_unqueried(args);
 
   const core::RowMap map = core::RowMap::from_device(host.device());
   core::Characterizer chr(host, map);

@@ -71,7 +71,6 @@ int main(int argc, char** argv) {
   const core::Site site{7, 0, 0};  // most vulnerable channel
   const auto hammers = static_cast<std::uint64_t>(args.get_positive_int("hammers", 262144));
   const auto rows = static_cast<std::uint32_t>(args.get_positive_int("rows", 6));
-  benchutil::warn_unqueried(args);
 
   common::Table table({"victim row", "flips, REF off", "flips, 64 REFs", "flips, 512 REFs"});
   for (std::uint32_t i = 0; i < rows; ++i) {

@@ -29,7 +29,6 @@ int main(int argc, char** argv) {
   core::AttackRunner attacker(host, map);
   const core::Site site{7, 0, 0};
   const auto rows = static_cast<std::uint32_t>(args.get_positive_int("rows", 6));
-  benchutil::warn_unqueried(args);
 
   core::AttackConfig no_ref;
   no_ref.refs = 0;

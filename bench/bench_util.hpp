@@ -105,6 +105,8 @@ inline const std::uint64_t kDefaultSeed = fault::FaultConfig{}.seed;
 /// attaches a Telemetry sink to the host's device when any is requested, and
 /// writes the requested outputs in finish(). When none of the flags is given
 /// no sink is constructed and the device keeps its zero-overhead null path.
+/// finish() is also where every bench warns about unknown flags: it runs
+/// after the last flag (--csv, read by maybe_write_csv) has been read.
 ///
 /// Campaign-backed benches pass sink() to the Campaign, which gives every
 /// worker host a private sink and absorbs them all back into this session's
@@ -119,7 +121,7 @@ class TelemetrySession {
 public:
   /// Parses the flags only; call attach() for each host (population sweeps
   /// construct several devices; each feeds the same aggregating sink).
-  explicit TelemetrySession(const common::CliArgs& args) {
+  explicit TelemetrySession(const common::CliArgs& args) : args_(&args) {
     metrics_path_ = args.get("metrics-json", "");
     trace_path_ = args.get("trace", "");
     report_path_ = args.get("report", "");
@@ -179,8 +181,10 @@ public:
     have_spans_ = true;
   }
 
-  /// Writes the requested artifacts and prints one status line per file.
+  /// Warns about unknown flags, then writes the requested artifacts and
+  /// prints one status line per file.
   void finish() {
+    warn_unqueried(*args_);
     if (!telemetry_) return;
     if (!metrics_path_.empty()) {
       std::ofstream out(metrics_path_);
@@ -214,6 +218,7 @@ private:
     }
   }
 
+  const common::CliArgs* args_;
   std::string metrics_path_;
   std::string trace_path_;
   std::string report_path_;

@@ -32,7 +32,6 @@ int main(int argc, char** argv) {
       static_cast<std::uint64_t>(args.get_positive_int("hammers", 262144));
   config.characterizer.max_hammers = config.characterizer.ber_hammers;
   const auto records = benchutil::run_survey_campaign(args, seed, config, telem, "fig3");
-  benchutil::warn_unqueried(args);
   const auto stats = core::aggregate_ber(records);
 
   common::Table table({"channel", "pattern", "min", "q1", "median", "q3", "max", "mean", "rows"});

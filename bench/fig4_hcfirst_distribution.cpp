@@ -34,7 +34,6 @@ int main(int argc, char** argv) {
   config.characterizer.wcdp_tolerance =
       static_cast<std::uint64_t>(args.get_positive_int("tolerance", 512));
   const auto records = benchutil::run_survey_campaign(args, seed, config, telem, "fig4");
-  benchutil::warn_unqueried(args);
   const auto stats = core::aggregate_hc_first(records);
 
   common::Table table({"channel", "pattern", "min", "q1", "median", "q3", "max", "mean", "rows"});

@@ -43,7 +43,6 @@ int main(int argc, char** argv) {
   // --resume); `host` stays around for the layout queries and the
   // single-sided boundary probe below, which are cheap and serial.
   const auto records = benchutil::run_survey_campaign(args, seed, config, telem, "fig5");
-  benchutil::warn_unqueried(args);
   const auto regions = core::paper_regions(host.device().geometry(), config.region_rows);
 
   common::Table table({"channel", "region", "physical row", "WCDP", "BER"});

@@ -37,7 +37,6 @@ int main(int argc, char** argv) {
   const auto rows_per_region =
       static_cast<std::uint32_t>(args.get_positive_int("rows-per-region", 100));
   const auto stride = static_cast<std::uint32_t>(args.get_positive_int("row-stride", 8));
-  benchutil::warn_unqueried(args);
 
   core::SpatialSurvey survey(host, config);
   const auto points = survey.survey_banks(rows_per_region, stride);

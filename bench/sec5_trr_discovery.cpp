@@ -30,7 +30,6 @@ int main(int argc, char** argv) {
   // REF; 100 iterations sweep rows 0..199).
   const auto probe_row = static_cast<std::uint32_t>(args.get_int("row", 4096));
   const auto iterations = static_cast<std::uint32_t>(args.get_positive_int("iterations", 100));
-  benchutil::warn_unqueried(args);
 
   const core::RowMap map = core::RowMap::from_device(host.device());
   core::UtrrConfig config;

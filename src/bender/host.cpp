@@ -13,6 +13,7 @@ namespace rh::bender {
 
 namespace {
 
+using profiling::Phase;
 using resilience::FaultKind;
 
 std::string fmt_celsius(double c) {
@@ -88,10 +89,12 @@ void BenderHost::set_engine(common::EngineKind kind, common::PlantedBug bug) {
 
 ExecutionResult BenderHost::execute_program(const Program& program, std::uint32_t channel,
                                             std::uint32_t pseudo_channel) {
-  if (engine_ == common::EngineKind::kFast) {
-    return trace_engine_.run(program, channel, pseudo_channel, now_);
-  }
-  return executor_.run(program, channel, pseudo_channel, now_);
+  const auto scope = phase_scope(Phase::kExecute);
+  ExecutionResult result = engine_ == common::EngineKind::kFast
+                               ? trace_engine_.run(program, channel, pseudo_channel, now_)
+                               : executor_.run(program, channel, pseudo_channel, now_);
+  now_ = result.end_cycle;
+  return result;
 }
 
 void BenderHost::set_fault_injector(resilience::FaultInjector* injector) {
@@ -114,8 +117,8 @@ void BenderHost::fault_recovered(FaultKind kind, std::uint32_t channel,
                                  std::uint32_t pseudo_channel, const std::string& detail) {
   ++stats_.recovered;
   // Calls-only: the wall time of the retry is already charged to the phase
-  // (upload/drain/thermal) whose timer was open when the fault fired.
-  profile_.record(profiling::Phase::kRecover, 0, 0.0);
+  // (upload/drain/thermal) whose scope was open when the fault fired.
+  profile_.record(Phase::kRecover, 0, 0.0);
   injector_->note_recovered(kind, detail);
   RH_TELEM(telemetry_, metrics().counter("resilience.recovered").add());
   RH_TELEM(telemetry_, on_command(telemetry::TraceCommand::kRecovery, now_, channel,
@@ -210,23 +213,13 @@ ExecutionResult BenderHost::run(const Program& program, std::uint32_t channel,
   if (injector_ == nullptr) {
     // Zero-overhead fast path: the exact pre-resilience behaviour (one
     // infallible upload, run, one infallible drain — no CRC framing cost).
-    // Phase accounting rides along: the executor already timed itself, so
-    // the execute phase reuses RunMetrics instead of a second clock pair.
     {
-      const profiling::PhaseTimer timer(profile_, profiling::Phase::kUpload);
-      const telemetry::SpanScope span(span_ctx_, telemetry::SpanKind::kUpload, &now_);
+      const auto scope = phase_scope(Phase::kUpload);
       link_.record_upload(upload);
     }
-    std::uint64_t exec_span = 0;
-    if (span_ctx_ != nullptr) exec_span = span_ctx_->open(telemetry::SpanKind::kExecute, now_);
     ExecutionResult result = execute_program(program, channel, pseudo_channel);
-    now_ = result.end_cycle;
-    if (span_ctx_ != nullptr) span_ctx_->close(exec_span, now_);
-    profile_.record(profiling::Phase::kExecute, result.cycles(),
-                    result.metrics.host_seconds * 1e3);
     if (!result.readback.empty()) {
-      const profiling::PhaseTimer timer(profile_, profiling::Phase::kDrain);
-      const telemetry::SpanScope span(span_ctx_, telemetry::SpanKind::kDrain, &now_);
+      const auto scope = phase_scope(Phase::kDrain);
       link_.record_download(result.readback.size());
     }
     if (sampler_ != nullptr) sampler_->sample_if_due(now_);
@@ -239,8 +232,7 @@ ExecutionResult BenderHost::run(const Program& program, std::uint32_t channel,
 
   for (unsigned run_attempt = 1;; ++run_attempt) {
     {
-      const profiling::PhaseTimer timer(profile_, profiling::Phase::kUpload);
-      const telemetry::SpanScope span(span_ctx_, telemetry::SpanKind::kUpload, &now_);
+      const auto scope = phase_scope(Phase::kUpload);
       upload_with_retry(upload, op, channel, pseudo_channel);
     }
 
@@ -265,13 +257,7 @@ ExecutionResult BenderHost::run(const Program& program, std::uint32_t channel,
       continue;
     }
 
-    std::uint64_t exec_span = 0;
-    if (span_ctx_ != nullptr) exec_span = span_ctx_->open(telemetry::SpanKind::kExecute, now_);
     ExecutionResult result = execute_program(program, channel, pseudo_channel);
-    now_ = result.end_cycle;
-    if (span_ctx_ != nullptr) span_ctx_->close(exec_span, now_);
-    profile_.record(profiling::Phase::kExecute, result.cycles(),
-                    result.metrics.host_seconds * 1e3);
     if (result.readback.empty()) {
       if (sampler_ != nullptr) sampler_->sample_if_due(now_);
       return result;
@@ -281,8 +267,7 @@ ExecutionResult BenderHost::run(const Program& program, std::uint32_t channel,
     // copy. A verified drain therefore returns the pristine readback.
     bool drained = false;
     {
-      const profiling::PhaseTimer timer(profile_, profiling::Phase::kDrain);
-      const telemetry::SpanScope span(span_ctx_, telemetry::SpanKind::kDrain, &now_);
+      const auto scope = phase_scope(Phase::kDrain);
       drained = download_with_verify(result.readback, op, channel, pseudo_channel);
     }
     if (drained) {
@@ -320,10 +305,9 @@ bool BenderHost::settle_loop(double timeout_s) {
 
 void BenderHost::enforce_temperature_guard(std::uint32_t channel,
                                            std::uint32_t pseudo_channel) {
-  // Any re-settle consumes simulated time, so the thermal phase samples the
-  // device clock alongside the wall clock.
-  const profiling::PhaseTimer timer(profile_, profiling::Phase::kThermal, &now_);
-  const telemetry::SpanScope span(span_ctx_, telemetry::SpanKind::kThermal, &now_);
+  // Any re-settle consumes simulated time, which the thermal phase's cycle
+  // stamps capture.
+  const auto scope = phase_scope(Phase::kThermal);
   // One thermal-fault opportunity per program launch.
   bool excursion = false;
   if (injector_->should_fire(FaultKind::kThermalExcursion)) {
@@ -375,7 +359,7 @@ void BenderHost::enforce_temperature_guard(std::uint32_t channel,
 }
 
 void BenderHost::set_chip_temperature(double celsius, double timeout_s) {
-  const profiling::PhaseTimer timer(profile_, profiling::Phase::kThermal, &now_);
+  const auto scope = phase_scope(Phase::kThermal);
   thermal_.set_target(celsius);
   // One thermal-fault opportunity per settle request: an excursion fires
   // after the first convergence (forcing a re-settle inside the same

@@ -35,7 +35,6 @@
 #include "resilience/retry.hpp"
 
 namespace rh::telemetry {
-class TraceContext;   // span.hpp — causal span tracing
 class MetricsSampler;  // stream.hpp — cycles-cadence metrics sampling
 }  // namespace rh::telemetry
 
@@ -124,12 +123,11 @@ public:
   }
 
   /// Attaches a causal span context (nullptr detaches): every program's
-  /// upload/execute/drain (and any thermal-guard settle) becomes a child
-  /// span of the context's innermost open span, and fault detections/
-  /// recoveries become marks. The campaign attaches a per-shard context
-  /// around each attempt; detached hosts pay one pointer test per phase.
+  /// upload/execute/drain (and any thermal settle) becomes a child span of
+  /// the context's innermost open span, and fault detections/recoveries
+  /// become marks. The campaign attaches a per-shard context around each
+  /// attempt; detached hosts pay one pointer test per phase.
   void set_trace_context(telemetry::TraceContext* ctx) { span_ctx_ = ctx; }
-  [[nodiscard]] telemetry::TraceContext* trace_context() const { return span_ctx_; }
 
   /// Attaches a cycles-cadence metrics sampler (nullptr detaches). The host
   /// offers it a sampling opportunity after every program — the
@@ -185,9 +183,14 @@ private:
   /// Charges one backoff wait (wall clock only) for retry `attempt` of `op`.
   void charge_backoff(std::uint64_t op, unsigned attempt);
 
-  /// Engine dispatch for one program run (both host run paths route here).
+  /// Engine dispatch for one program run (both host run paths route here):
+  /// runs the execute phase and advances the clock to the program's end.
   ExecutionResult execute_program(const Program& program, std::uint32_t channel,
                                   std::uint32_t pseudo_channel);
+  /// Opens `phase` on this host's profile, cycle clock and span context.
+  [[nodiscard]] profiling::PhaseScope phase_scope(profiling::Phase phase) {
+    return {profile_, phase, &now_, span_ctx_};
+  }
 
   std::unique_ptr<hbm::Device> device_;
   Executor executor_;

@@ -102,7 +102,8 @@ public:
   /// ACT+PRE pair.
   [[nodiscard]] hbm::Cycle hammer_period(std::int64_t on_time) const;
 
-  /// Finalizes: appends END if missing, validates, and returns the program.
+  /// Finalizes: appends END if missing and returns the program. Validation
+  /// happens once, at the trust boundary: Executor::run / TraceEngine::run.
   [[nodiscard]] Program take();
 
   /// Access to the program being built (e.g. to preload wide registers).

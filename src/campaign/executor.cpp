@@ -142,7 +142,7 @@ std::string RunLedger::commit(unsigned worker, ShardResult outcome,
   const std::uint64_t i = outcome.shard;
   std::string journal_error = append_journal([&](JournalWriter& writer) {
     if (outcome.ok) {
-      const profiling::PhaseTimer timer(worker_profile, profiling::Phase::kCheckpoint);
+      const profiling::PhaseScope scope(worker_profile, profiling::Phase::kCheckpoint);
       writer.append_shard(i, outcome.records, outcome.wall_ms, outcome.attempts);
     } else {
       writer.append_failure(i, outcome.attempts, outcome.error);

@@ -81,15 +81,23 @@ void Profile::write_json(std::ostream& os, bool include_wall) const {
   os << '}';
 }
 
-void PhaseTimer::stop() {
-  if (stopped_) return;
-  stopped_ = true;
-  const auto elapsed =
-      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start_)
-          .count();
-  const std::uint64_t cycles =
-      cycle_clock_ != nullptr ? *cycle_clock_ - start_cycles_ : 0;
-  profile_->record(phase_, cycles, elapsed);
+PhaseScope::PhaseScope(Profile& profile, Phase phase, const std::uint64_t* cycle_clock,
+                       telemetry::TraceContext* spans)
+    : profile_(&profile),
+      cycle_clock_(cycle_clock),
+      spans_(spans),
+      phase_(phase),
+      start_cycles_(cycle_clock != nullptr ? *cycle_clock : 0),
+      start_(std::chrono::steady_clock::now()) {
+  if (spans_ != nullptr) span_id_ = spans_->open(phase_, start_cycles_, start_);
+}
+
+PhaseScope::~PhaseScope() {
+  const auto end = std::chrono::steady_clock::now();
+  const std::uint64_t end_cycles = cycle_clock_ != nullptr ? *cycle_clock_ : 0;
+  if (spans_ != nullptr) spans_->close(span_id_, end_cycles, end);
+  profile_->record(phase_, end_cycles - start_cycles_,
+                   std::chrono::duration<double, std::milli>(end - start_).count());
 }
 
 }  // namespace rh::profiling

@@ -11,7 +11,9 @@
 //     the perf baseline tracks. Wall fields are therefore *excluded* from
 //     every byte-identity check and from the deterministic report view.
 //
-// Phase taxonomy (see DESIGN.md §10):
+// Phase taxonomy (see DESIGN.md §10): the one list of phases is
+// telemetry::Phase (telemetry/span.hpp), re-exported here as
+// profiling::Phase.
 //   host-level  — upload / execute / drain / recover / thermal: one
 //                 BenderHost's program pipeline. Device cycles advance only
 //                 in execute (programs) and thermal (PID settle).
@@ -31,43 +33,13 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
-#include <string_view>
+
+#include "telemetry/span.hpp"
 
 namespace rh::profiling {
 
-enum class Phase : std::uint8_t {
-  // host-level
-  kUpload = 0,  ///< program/wide-register PCIe upload (incl. retries)
-  kExecute,     ///< executor running a program (device cycles advance)
-  kDrain,       ///< readback FIFO drain + CRC verify (incl. re-drains)
-  kRecover,     ///< fault recovery actions (calls only; time stays in the
-                ///< phase where the retry ran, so nothing double-counts)
-  kThermal,     ///< thermal rig settle/guard (device cycles advance)
-  // campaign-level
-  kRigBuild,    ///< worker host construction + bring-up to temperature
-  kShardRun,    ///< run_shard measurement work (contains host-level phases)
-  kCheckpoint,  ///< journal append (fsync'd) under the completion lock
-  kIdle,        ///< worker lifetime not accounted to any phase above
-  kReport,      ///< end-of-run report/export generation
-};
-
-inline constexpr std::size_t kPhaseCount = 10;
-
-[[nodiscard]] constexpr std::string_view to_string(Phase p) {
-  switch (p) {
-    case Phase::kUpload: return "upload";
-    case Phase::kExecute: return "execute";
-    case Phase::kDrain: return "drain";
-    case Phase::kRecover: return "recover";
-    case Phase::kThermal: return "thermal";
-    case Phase::kRigBuild: return "rig_build";
-    case Phase::kShardRun: return "shard_run";
-    case Phase::kCheckpoint: return "checkpoint";
-    case Phase::kIdle: return "idle";
-    case Phase::kReport: return "report";
-  }
-  return "?";
-}
+using telemetry::kPhaseCount;
+using telemetry::Phase;
 
 struct PhaseStat {
   std::uint64_t calls = 0;
@@ -107,35 +79,27 @@ private:
   std::array<PhaseStat, kPhaseCount> stats_{};
 };
 
-/// RAII scope timer: opens a phase at construction, records it into the
-/// profile at destruction (or an early stop()). `cycle_clock` may point at
-/// the owning host's simulated clock; the timer samples it at both ends so
-/// phases that advance simulated time (execute, thermal) report the cycles
-/// they consumed. Pass nullptr for pure host-side phases.
-class PhaseTimer {
+/// RAII phase scope — the one instrumentation call per phase. Reads the
+/// steady clock and `*cycle_clock` (null -> 0) once at each end, adds one
+/// call plus the cycles and wall time it spanned to `profile`, and, with a
+/// TraceContext attached, opens and closes the phase's span with the same
+/// stamps. A span the per-attempt budget drops still counts in the profile.
+class PhaseScope {
 public:
-  PhaseTimer(Profile& profile, Phase phase, const std::uint64_t* cycle_clock = nullptr)
-      : profile_(&profile),
-        cycle_clock_(cycle_clock),
-        phase_(phase),
-        start_cycles_(cycle_clock != nullptr ? *cycle_clock : 0),
-        start_(std::chrono::steady_clock::now()) {}
-
-  PhaseTimer(const PhaseTimer&) = delete;
-  PhaseTimer& operator=(const PhaseTimer&) = delete;
-
-  ~PhaseTimer() { stop(); }
-
-  /// Records the phase now instead of at scope exit; idempotent.
-  void stop();
+  PhaseScope(Profile& profile, Phase phase, const std::uint64_t* cycle_clock = nullptr,
+             telemetry::TraceContext* spans = nullptr);
+  PhaseScope(const PhaseScope&) = delete;
+  PhaseScope& operator=(const PhaseScope&) = delete;
+  ~PhaseScope();
 
 private:
   Profile* profile_;
   const std::uint64_t* cycle_clock_;
+  telemetry::TraceContext* spans_;
   Phase phase_;
   std::uint64_t start_cycles_;
   std::chrono::steady_clock::time_point start_;
-  bool stopped_ = false;
+  std::uint64_t span_id_ = 0;
 };
 
 }  // namespace rh::profiling

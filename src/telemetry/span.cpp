@@ -8,6 +8,11 @@ namespace rh::telemetry {
 
 namespace {
 
+/// Chrome event name: the phase name for host-phase spans, else the kind.
+std::string_view span_name(const Span& s) {
+  return s.kind == SpanKind::kPhase ? to_string(s.phase) : to_string(s.kind);
+}
+
 /// Wall milliseconds -> microsecond timestamp text (Chrome ts unit).
 std::string ts_text(double wall_ms) {
   char buf[64];
@@ -41,48 +46,54 @@ void SpanSheet::clear() {
   dropped_ = 0;
 }
 
-TraceContext::TraceContext(SpanSheet& sheet, std::uint64_t shard,
-                           std::chrono::steady_clock::time_point epoch, std::uint64_t parent)
+TraceContext::TraceContext(SpanSheet& sheet, std::uint64_t shard, Clock::time_point epoch,
+                           std::uint64_t parent)
     : sheet_(&sheet), shard_(shard), parent_(parent), epoch_(epoch) {}
 
-double TraceContext::wall_now_ms() const {
-  return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - epoch_)
-      .count();
+double TraceContext::wall_ms(Clock::time_point at) const {
+  return std::chrono::duration<double, std::milli>(at - epoch_).count();
 }
 
-std::uint64_t TraceContext::innermost_parent() const {
-  return stack_.empty() ? parent_ : sheet_->at(stack_.back()).id;
-}
-
-std::uint64_t TraceContext::open(SpanKind kind, std::uint64_t cycle) {
-  // Structural spans (shard/attempt) ignore the budget: without them the
-  // tree loses its spine and the retained phase spans dangle.
-  const bool structural = kind == SpanKind::kShard || kind == SpanKind::kAttempt;
-  if (!structural) {
-    if (budget_ == 0) {
-      sheet_->note_dropped();
-      return 0;
-    }
-    --budget_;
-  }
+Span TraceContext::make_span(SpanKind kind, std::uint64_t cycle, Clock::time_point at) {
   Span span;
   span.id = span_id(shard_, attempt_, seq_++);
-  span.parent = innermost_parent();
+  span.parent = stack_.empty() ? parent_ : sheet_->at(stack_.back()).id;
   span.shard = shard_;
   span.attempt = attempt_;
   span.kind = kind;
   span.begin_cycle = cycle;
   span.end_cycle = cycle;
-  span.begin_wall_ms = wall_now_ms();
+  span.begin_wall_ms = wall_ms(at);
   span.end_wall_ms = span.begin_wall_ms;
+  return span;
+}
+
+std::uint64_t TraceContext::push(Span span) {
   span.open = true;
   stack_.push_back(sheet_->add(span));
   return span.id;
 }
 
-void TraceContext::close(std::uint64_t id, std::uint64_t cycle) {
+std::uint64_t TraceContext::open(SpanKind kind, std::uint64_t cycle) {
+  return push(make_span(kind, cycle, Clock::now()));
+}
+
+std::uint64_t TraceContext::open(Phase phase, std::uint64_t cycle, Clock::time_point at) {
+  // Only host phases are budgeted: without the structural spans the tree
+  // loses its spine and the retained phase spans dangle.
+  if (budget_ == 0) {
+    sheet_->note_dropped();
+    return 0;
+  }
+  --budget_;
+  Span span = make_span(SpanKind::kPhase, cycle, at);
+  span.phase = phase;
+  return push(span);
+}
+
+void TraceContext::close(std::uint64_t id, std::uint64_t cycle, Clock::time_point at) {
   if (id == 0) return;  // budget-dropped span
-  const double wall = wall_now_ms();
+  const double wall = wall_ms(at);
   while (!stack_.empty()) {
     Span& span = sheet_->at(stack_.back());
     stack_.pop_back();
@@ -96,18 +107,8 @@ void TraceContext::close(std::uint64_t id, std::uint64_t cycle) {
 }
 
 void TraceContext::mark(SpanKind kind, std::uint64_t cycle, std::uint32_t arg) {
-  Span span;
-  span.id = span_id(shard_, attempt_, seq_++);
-  span.parent = innermost_parent();
-  span.shard = shard_;
-  span.attempt = attempt_;
-  span.kind = kind;
+  Span span = make_span(kind, cycle, Clock::now());
   span.arg = arg;
-  span.begin_cycle = cycle;
-  span.end_cycle = cycle;
-  span.begin_wall_ms = wall_now_ms();
-  span.end_wall_ms = span.begin_wall_ms;
-  span.open = false;
   sheet_->add(span);
 }
 
@@ -143,12 +144,12 @@ void write_chrome_span_events(std::ostream& os, const std::vector<Span>& spans, 
          << ",\"parent\":\"" << parent_buf << "\",\"shard\":" << s.shard << "}}";
       continue;
     }
-    os << ",{\"name\":\"" << to_string(s.kind) << "\",\"cat\":\"span\",\"ph\":\"b\",\"id\":\""
+    os << ",{\"name\":\"" << span_name(s) << "\",\"cat\":\"span\",\"ph\":\"b\",\"id\":\""
        << id_buf << "\",\"pid\":" << kSpanPid << ",\"tid\":" << s.shard
        << ",\"ts\":" << ts_text(s.begin_wall_ms) << ",\"args\":{\"attempt\":" << s.attempt
        << ",\"cycles\":" << cycles << ",\"open\":" << (s.open ? "true" : "false")
        << ",\"parent\":\"" << parent_buf << "\",\"shard\":" << s.shard << "}}";
-    os << ",{\"name\":\"" << to_string(s.kind) << "\",\"cat\":\"span\",\"ph\":\"e\",\"id\":\""
+    os << ",{\"name\":\"" << span_name(s) << "\",\"cat\":\"span\",\"ph\":\"e\",\"id\":\""
        << id_buf << "\",\"pid\":" << kSpanPid << ",\"tid\":" << s.shard
        << ",\"ts\":" << ts_text(s.end_wall_ms) << "}";
   }

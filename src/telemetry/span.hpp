@@ -1,13 +1,17 @@
 // Causal span tracing for the campaign stack: every unit of work — the
 // campaign itself, each shard, each attempt on a shard, and each host phase
-// (upload/execute/drain/recover/thermal) inside an attempt — becomes a Span
-// with a parent link, so a finished run carries a forest
+// (upload/execute/drain/thermal) inside an attempt — becomes a Span with a
+// parent link, so a finished run carries a forest
 //
 //   campaign -> shard -> attempt -> host phase -> fault/recovery marks
 //
 // that attributes cost causally: a slow shard's row in the run report links
 // (by span id) to the exact attempts, retries, and recoveries that made it
 // slow.
+//
+// This header also holds the one list of phase names (Phase): the phase
+// profile (profiling/profile.hpp) accounts every phase, and its
+// profiling::PhaseScope opens the matching host-phase span here.
 //
 // Determinism: span ids are pure functions of (shard, attempt, sequence) —
 // see span_id() — so the same sweep produces the same tree regardless of
@@ -34,33 +38,61 @@
 
 namespace rh::telemetry {
 
+/// Every profiled phase (see DESIGN.md §10). Host-level phases cover one
+/// BenderHost's program pipeline and also become spans; campaign-level
+/// phases cover the worker pool and shard_run *contains* the host-level
+/// ones.
+enum class Phase : std::uint8_t {
+  // host-level
+  kUpload = 0,  ///< program/wide-register PCIe upload (incl. retries)
+  kExecute,     ///< executor running a program (device cycles advance)
+  kDrain,       ///< readback FIFO drain + CRC verify (incl. re-drains)
+  kRecover,     ///< fault recovery actions (calls only; time stays in the
+                ///< phase where the retry ran, so nothing double-counts)
+  kThermal,     ///< thermal rig settle/guard (device cycles advance)
+  // campaign-level
+  kRigBuild,    ///< worker host construction + bring-up to temperature
+  kShardRun,    ///< run_shard measurement work (contains host-level phases)
+  kCheckpoint,  ///< journal append (fsync'd) under the completion lock
+  kIdle,        ///< worker lifetime not accounted to any phase above
+  kReport,      ///< end-of-run report/export generation
+};
+
+inline constexpr std::size_t kPhaseCount = 10;
+
+[[nodiscard]] constexpr std::string_view to_string(Phase p) {
+  switch (p) {
+    case Phase::kUpload: return "upload";
+    case Phase::kExecute: return "execute";
+    case Phase::kDrain: return "drain";
+    case Phase::kRecover: return "recover";
+    case Phase::kThermal: return "thermal";
+    case Phase::kRigBuild: return "rig_build";
+    case Phase::kShardRun: return "shard_run";
+    case Phase::kCheckpoint: return "checkpoint";
+    case Phase::kIdle: return "idle";
+    case Phase::kReport: return "report";
+  }
+  return "?";
+}
+
 /// What a span covers. kFault/kRecovery are zero-length marks (arg =
 /// resilience::FaultKind); everything else is a real interval.
 enum class SpanKind : std::uint8_t {
   kCampaign = 0,  ///< the whole run (root, exactly one per campaign)
   kShard,         ///< one shard, all attempts included
   kAttempt,       ///< one attempt on a shard (retries open fresh attempts)
-  kUpload,        ///< host phase: program/wide-register PCIe upload
-  kExecute,       ///< host phase: executor running a program
-  kDrain,         ///< host phase: readback FIFO drain + CRC verify
-  kRecover,       ///< host phase: fault recovery action
-  kThermal,       ///< host phase: thermal settle / temperature guard
+  kPhase,         ///< a host phase; Span::phase says which
   kFault,         ///< mark: a fault was detected (arg = FaultKind)
   kRecovery,      ///< mark: the fault was healed or aborted (arg = FaultKind)
 };
-
-inline constexpr std::size_t kSpanKindCount = 10;
 
 [[nodiscard]] constexpr std::string_view to_string(SpanKind k) {
   switch (k) {
     case SpanKind::kCampaign: return "campaign";
     case SpanKind::kShard: return "shard";
     case SpanKind::kAttempt: return "attempt";
-    case SpanKind::kUpload: return "upload";
-    case SpanKind::kExecute: return "execute";
-    case SpanKind::kDrain: return "drain";
-    case SpanKind::kRecover: return "recover";
-    case SpanKind::kThermal: return "thermal";
+    case SpanKind::kPhase: return "phase";
     case SpanKind::kFault: return "fault";
     case SpanKind::kRecovery: return "recovery";
   }
@@ -87,7 +119,8 @@ struct Span {
   std::uint64_t shard = 0;
   std::uint32_t attempt = 0;  ///< 1-based; 0 for campaign/shard spans
   SpanKind kind = SpanKind::kCampaign;
-  std::uint32_t arg = 0;  ///< FaultKind for kFault/kRecovery marks
+  Phase phase = Phase::kUpload;  ///< which host phase, for kPhase spans
+  std::uint32_t arg = 0;         ///< FaultKind for kFault/kRecovery marks
   /// Device-clock stamps. Host phases carry the absolute host clock at
   /// open/close; campaign-level spans carry 0 .. cycles-consumed. Either
   /// way end_cycle - begin_cycle is the cycles the span consumed.
@@ -134,23 +167,27 @@ private:
 /// Per-shard span builder, used single-threaded by the worker that owns the
 /// shard. Open spans nest: open() parents the new span under the innermost
 /// open span (or under the shard span, or `parent` before the shard span
-/// opens). The BenderHost holds a TraceContext* (null by default) and wraps
-/// its phases in SpanScope, so hosts outside a campaign pay one pointer
-/// test per phase.
+/// opens). The BenderHost holds a TraceContext* (null by default) that its
+/// profiling::PhaseScopes open host-phase spans through, so hosts outside a
+/// campaign pay one pointer test per phase.
 class TraceContext {
 public:
+  using Clock = std::chrono::steady_clock;
+
   /// `epoch` anchors the wall-clock stamps (pass the campaign run start so
   /// every worker's spans share one timeline).
-  TraceContext(SpanSheet& sheet, std::uint64_t shard,
-               std::chrono::steady_clock::time_point epoch,
+  TraceContext(SpanSheet& sheet, std::uint64_t shard, Clock::time_point epoch,
                std::uint64_t parent = kCampaignSpanId);
 
-  /// Opens a span at `cycle`; returns its id (0 when the per-attempt budget
-  /// is exhausted — close(0) is a no-op, the drop is accounted).
+  /// Opens a structural span (shard/attempt) at `cycle`; never dropped.
   std::uint64_t open(SpanKind kind, std::uint64_t cycle);
+  /// Opens a host-phase span stamped (`cycle`, `at`); returns its id, or 0
+  /// when the per-attempt budget is exhausted (close(0) is a no-op, the
+  /// drop is accounted).
+  std::uint64_t open(Phase phase, std::uint64_t cycle, Clock::time_point at = Clock::now());
   /// Closes the span `id` (innermost-first; out-of-order closes unwind the
-  /// stack to the matching span, closing skipped spans at the same cycle).
-  void close(std::uint64_t id, std::uint64_t cycle);
+  /// stack to the matching span, closing skipped spans at the same stamps).
+  void close(std::uint64_t id, std::uint64_t cycle, Clock::time_point at = Clock::now());
   /// Records a zero-length mark (fault/recovery) under the innermost open
   /// span. Marks are never dropped.
   void mark(SpanKind kind, std::uint64_t cycle, std::uint32_t arg);
@@ -162,40 +199,21 @@ public:
   [[nodiscard]] std::uint32_t attempt() const { return attempt_; }
 
 private:
-  [[nodiscard]] double wall_now_ms() const;
-  [[nodiscard]] std::uint64_t innermost_parent() const;
+  /// Milliseconds from the epoch to `at`.
+  [[nodiscard]] double wall_ms(Clock::time_point at) const;
+  /// A closed zero-length span at (`cycle`, `at`) under the innermost open
+  /// span, with the next sequence id.
+  [[nodiscard]] Span make_span(SpanKind kind, std::uint64_t cycle, Clock::time_point at);
+  std::uint64_t push(Span span);
 
   SpanSheet* sheet_;
   std::uint64_t shard_;
   std::uint64_t parent_;
-  std::chrono::steady_clock::time_point epoch_;
+  Clock::time_point epoch_;
   std::uint32_t attempt_ = 0;
   std::uint32_t seq_ = 0;
   std::uint32_t budget_ = kSpanBudgetPerAttempt;
   std::vector<std::size_t> stack_;  ///< indices of open spans in sheet_
-};
-
-/// RAII span: opens `kind` at construction, closes at destruction, sampling
-/// `*cycle_clock` (may be null -> cycle 0) at both ends. A null `ctx` makes
-/// the scope free.
-class SpanScope {
-public:
-  SpanScope(TraceContext* ctx, SpanKind kind, const std::uint64_t* cycle_clock)
-      : ctx_(ctx), cycle_clock_(cycle_clock) {
-    if (ctx_ != nullptr) {
-      id_ = ctx_->open(kind, cycle_clock_ != nullptr ? *cycle_clock_ : 0);
-    }
-  }
-  SpanScope(const SpanScope&) = delete;
-  SpanScope& operator=(const SpanScope&) = delete;
-  ~SpanScope() {
-    if (ctx_ != nullptr) ctx_->close(id_, cycle_clock_ != nullptr ? *cycle_clock_ : 0);
-  }
-
-private:
-  TraceContext* ctx_;
-  const std::uint64_t* cycle_clock_;
-  std::uint64_t id_ = 0;
 };
 
 /// Writes the spans as Chrome trace-event async "b"/"e" pairs (marks as

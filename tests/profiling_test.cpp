@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -23,6 +24,7 @@
 #include "core/spatial.hpp"
 #include "profiling/report.hpp"
 #include "telemetry/metrics.hpp"
+#include "telemetry/span.hpp"
 
 namespace rh {
 namespace {
@@ -31,7 +33,7 @@ using campaign::CampaignConfig;
 using campaign::SweepSpec;
 using profiling::Phase;
 using profiling::PhaseStat;
-using profiling::PhaseTimer;
+using profiling::PhaseScope;
 using profiling::Profile;
 
 // ---------------------------------------------------------------- histogram
@@ -136,11 +138,11 @@ TEST(ProfileTest, RecordAccumulatesAndMergeAdds) {
   EXPECT_DOUBLE_EQ(b.total_wall_ms(), 0.0);
 }
 
-TEST(ProfileTest, PhaseTimerSamplesTheCycleClock) {
+TEST(ProfileTest, PhaseScopeSamplesTheCycleClock) {
   Profile p;
   std::uint64_t clock = 1000;
   {
-    const PhaseTimer timer(p, Phase::kThermal, &clock);
+    const PhaseScope scope(p, Phase::kThermal, &clock);
     clock += 250;
   }
   EXPECT_EQ(p.stat(Phase::kThermal).calls, 1u);
@@ -148,12 +150,44 @@ TEST(ProfileTest, PhaseTimerSamplesTheCycleClock) {
   EXPECT_GE(p.stat(Phase::kThermal).wall_ms, 0.0);
 }
 
-TEST(ProfileTest, TimerStopIsIdempotent) {
+TEST(ProfileTest, PhaseScopeStampsItsSpanWithTheProfilesClocks) {
   Profile p;
-  PhaseTimer timer(p, Phase::kUpload);
-  timer.stop();
-  timer.stop();  // destructor will be the third stop
-  EXPECT_EQ(p.stat(Phase::kUpload).calls, 1u);
+  telemetry::SpanSheet sheet;
+  telemetry::TraceContext ctx(sheet, 0, std::chrono::steady_clock::now());
+  ctx.set_attempt(1);
+  std::uint64_t clock = 40;
+  {
+    const PhaseScope scope(p, Phase::kExecute, &clock, &ctx);
+    clock += 60;
+  }
+  ASSERT_EQ(sheet.spans().size(), 1u);
+  const telemetry::Span& span = sheet.spans()[0];
+  EXPECT_EQ(span.kind, telemetry::SpanKind::kPhase);
+  EXPECT_EQ(span.phase, Phase::kExecute);
+  EXPECT_FALSE(span.open);
+  EXPECT_EQ(span.begin_cycle, 40u);
+  EXPECT_EQ(span.end_cycle, 100u);
+  EXPECT_EQ(p.stat(Phase::kExecute).calls, 1u);
+  EXPECT_EQ(p.stat(Phase::kExecute).device_cycles, span.end_cycle - span.begin_cycle);
+  // One clock pair feeds both: the span's wall extent is the profile's.
+  EXPECT_DOUBLE_EQ(p.stat(Phase::kExecute).wall_ms, span.end_wall_ms - span.begin_wall_ms);
+}
+
+TEST(ProfileTest, BudgetDroppedSpansStillCountInTheProfile) {
+  Profile p;
+  telemetry::SpanSheet sheet;
+  telemetry::TraceContext ctx(sheet, 0, std::chrono::steady_clock::now());
+  ctx.set_attempt(1);
+  std::uint64_t clock = 0;
+  const std::uint32_t phases = telemetry::kSpanBudgetPerAttempt + 3;
+  for (std::uint32_t i = 0; i < phases; ++i) {
+    const PhaseScope scope(p, Phase::kUpload, &clock, &ctx);
+    ++clock;
+  }
+  EXPECT_EQ(sheet.spans().size(), telemetry::kSpanBudgetPerAttempt);
+  EXPECT_EQ(sheet.dropped(), 3u);
+  EXPECT_EQ(p.stat(Phase::kUpload).calls, phases);
+  EXPECT_EQ(p.stat(Phase::kUpload).device_cycles, phases);
 }
 
 TEST(ProfileTest, DeterministicJsonKeepsOnlyMeasurementCycles) {
@@ -317,6 +351,29 @@ TEST(CampaignProfilingTest, FleetProfileCoversHostAndCampaignPhases) {
   // shard_run contains the host-level execute: same clock, same axis.
   EXPECT_GE(profile.stat(Phase::kShardRun).device_cycles,
             profile.stat(Phase::kExecute).device_cycles);
+}
+
+TEST(CampaignProfilingTest, FleetProfileAgreesWithTheSpanForest) {
+  // One PhaseScope feeds both the profile and the span tree, so with no
+  // span dropped every host phase's calls and cycles equal its spans'.
+  const SweepSpec spec = quick_sweep();
+  campaign::Campaign campaign(quiet_config(2));
+  const campaign::CampaignResult result = campaign.run(spec);
+  ASSERT_TRUE(result.failures.empty());
+  ASSERT_EQ(campaign.spans().dropped(), 0u);
+  for (const Phase phase : {Phase::kUpload, Phase::kExecute, Phase::kDrain, Phase::kThermal}) {
+    std::uint64_t spans = 0;
+    std::uint64_t cycles = 0;
+    for (const telemetry::Span& s : campaign.spans().spans()) {
+      if (s.kind != telemetry::SpanKind::kPhase || s.phase != phase) continue;
+      ++spans;
+      cycles += s.end_cycle - s.begin_cycle;
+    }
+    const profiling::PhaseStat& stat = campaign.profile().stat(phase);
+    EXPECT_EQ(stat.calls, spans) << to_string(phase);
+    EXPECT_EQ(stat.device_cycles, cycles) << to_string(phase);
+  }
+  EXPECT_GT(campaign.profile().stat(Phase::kExecute).calls, 0u);
 }
 
 TEST(CampaignProfilingTest, ThroughputAxisExcludesRigBringUp) {

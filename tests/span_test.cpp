@@ -43,9 +43,9 @@ TEST(TraceContextTest, NestsPhasesUnderAttemptUnderShard) {
   const std::uint64_t shard = ctx.open(SpanKind::kShard, 0);
   ctx.set_attempt(1);
   const std::uint64_t attempt = ctx.open(SpanKind::kAttempt, 0);
-  const std::uint64_t upload = ctx.open(SpanKind::kUpload, 100);
+  const std::uint64_t upload = ctx.open(Phase::kUpload, 100);
   ctx.close(upload, 250);
-  const std::uint64_t execute = ctx.open(SpanKind::kExecute, 250);
+  const std::uint64_t execute = ctx.open(Phase::kExecute, 250);
   ctx.mark(SpanKind::kFault, 300, 2);
   ctx.close(execute, 900);
   ctx.close(attempt, 900);
@@ -82,7 +82,7 @@ TEST(TraceContextTest, IdsAreDeterministicFunctionsOfTreePosition) {
     for (std::uint32_t a = 1; a <= 2; ++a) {
       ctx.set_attempt(a);
       const auto attempt = ctx.open(SpanKind::kAttempt, 0);
-      const auto upload = ctx.open(SpanKind::kUpload, 10);
+      const auto upload = ctx.open(Phase::kUpload, 10);
       ctx.close(upload, 20);
       ctx.close(attempt, 30);
     }
@@ -110,7 +110,7 @@ TEST(TraceContextTest, OutOfOrderCloseUnwindsSkippedSpans) {
   const auto shard = ctx.open(SpanKind::kShard, 0);
   ctx.set_attempt(1);
   const auto attempt = ctx.open(SpanKind::kAttempt, 0);
-  const auto execute = ctx.open(SpanKind::kExecute, 50);
+  const auto execute = ctx.open(Phase::kExecute, 50);
   ctx.close(attempt, 120);  // execute never closed explicitly
   ctx.close(shard, 120);
   EXPECT_FALSE(find_span(sheet, execute).open);
@@ -127,16 +127,16 @@ TEST(TraceContextTest, PhaseBudgetDropsOverflowButKeepsStructureAndMarks) {
   // The attempt span is structural and must not consume phase budget:
   // exactly kSpanBudgetPerAttempt phases fit.
   for (std::uint32_t i = 0; i < kSpanBudgetPerAttempt; ++i) {
-    const auto id = ctx.open(SpanKind::kExecute, i);
+    const auto id = ctx.open(Phase::kExecute, i);
     EXPECT_NE(id, 0u) << "phase " << i << " should be within budget";
     ctx.close(id, i + 1);
   }
   EXPECT_EQ(sheet.dropped(), 0u);
   // Past the budget: opens return 0, close(0) is a no-op, drops accrue.
-  const auto dropped_id = ctx.open(SpanKind::kExecute, 999);
+  const auto dropped_id = ctx.open(Phase::kExecute, 999);
   EXPECT_EQ(dropped_id, 0u);
   ctx.close(dropped_id, 1000);
-  ctx.open(SpanKind::kDrain, 999);
+  ctx.open(Phase::kDrain, 999);
   EXPECT_EQ(sheet.dropped(), 2u);
   // Marks are never dropped, even with the budget exhausted.
   ctx.mark(SpanKind::kRecovery, 1000, 1);
@@ -148,7 +148,7 @@ TEST(TraceContextTest, PhaseBudgetDropsOverflowButKeepsStructureAndMarks) {
   ctx.close(attempt, 2000);
   ctx.set_attempt(2);
   const auto attempt2 = ctx.open(SpanKind::kAttempt, 0);
-  EXPECT_NE(ctx.open(SpanKind::kExecute, 0), 0u);
+  EXPECT_NE(ctx.open(Phase::kExecute, 0), 0u);
   ctx.close(attempt2, 10);
   ctx.close(shard, 10);
   // Retained count: shard + 2 attempts + budget phases + 1 post-refill
@@ -207,6 +207,8 @@ TEST(SpanExportTest, ChromeSpansCarryTreeAndPairBeginEnd) {
   ctx.set_attempt(1);
   const auto attempt = ctx.open(SpanKind::kAttempt, 0);
   ctx.mark(SpanKind::kFault, 40, 0);
+  const auto execute = ctx.open(Phase::kExecute, 40);
+  ctx.close(execute, 80);
   ctx.close(attempt, 80);
   ctx.close(shard, 80);
 
@@ -222,6 +224,9 @@ TEST(SpanExportTest, ChromeSpansCarryTreeAndPairBeginEnd) {
   EXPECT_NE(json.find("\"name\":\"shard\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"attempt\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"fault\""), std::string::npos);
+  // A host-phase span is named after its phase, never after its kind.
+  EXPECT_NE(json.find("\"name\":\"execute\""), std::string::npos);
+  EXPECT_EQ(json.find("\"name\":\"phase\""), std::string::npos);
   char parent_hex[32];
   std::snprintf(parent_hex, sizeof parent_hex, "\"parent\":\"0x%llx\"",
                 static_cast<unsigned long long>(shard));
