@@ -35,8 +35,7 @@ std::uint64_t read_flips(bender::BenderHost& host, std::uint32_t channel, std::u
 
 int main(int argc, char** argv) {
   const common::CliArgs args(argc, argv);
-  const auto seed = static_cast<std::uint64_t>(
-      args.get_int("seed", static_cast<std::int64_t>(benchutil::kDefaultSeed)));
+  const auto seed = benchutil::seed_flag(args);
 
   benchutil::banner("Ablation A3 (cross-channel)",
                     "hammering one channel, checking rows in the others");

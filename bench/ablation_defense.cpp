@@ -24,8 +24,7 @@ using namespace rh;
 
 int main(int argc, char** argv) {
   const common::CliArgs args(argc, argv);
-  const auto seed = static_cast<std::uint64_t>(
-      args.get_int("seed", static_cast<std::int64_t>(benchutil::kDefaultSeed)));
+  const auto seed = benchutil::seed_flag(args);
 
   benchutil::banner("Ablation A4 (variation-aware defense)",
                     "per-channel HC_first profiling -> mitigation cost");

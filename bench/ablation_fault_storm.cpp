@@ -30,8 +30,7 @@ std::string serialize(const std::vector<core::RowRecord>& records) {
 
 int main(int argc, char** argv) {
   const common::CliArgs args(argc, argv);
-  const auto seed = static_cast<std::uint64_t>(
-      args.get_int("seed", static_cast<std::int64_t>(benchutil::kDefaultSeed)));
+  const auto seed = benchutil::seed_flag(args);
   const double fault_rate = args.get_fraction("fault-rate", 0.05);
 
   benchutil::banner("Fault storm",
@@ -46,8 +45,7 @@ int main(int argc, char** argv) {
   survey.characterizer.ber_hammers = survey.characterizer.max_hammers;
   survey.characterizer.wcdp_tolerance =
       static_cast<std::uint64_t>(args.get_positive_int("tolerance", 512));
-  const campaign::SweepSpec spec =
-      campaign::survey_sweep(benchutil::paper_device_config(seed), survey);
+  const auto spec = campaign::survey_sweep(benchutil::paper_device_config(seed), survey);
 
   campaign::CampaignConfig config = benchutil::campaign_config(args);
 
@@ -56,16 +54,17 @@ int main(int argc, char** argv) {
   baseline_config.fault_plan = resilience::FaultPlan{};
   std::cout << "baseline sweep (fault-free, " << spec.shards.size() << " shards, --jobs="
             << config.jobs << ") ...\n";
-  campaign::Campaign baseline(baseline_config, telem.sink());
-  const std::string baseline_records = serialize(baseline.run(spec).flat());
+  const std::string baseline_records =
+      serialize(benchutil::run_campaign(nullptr, baseline_config, spec, "baseline").flat());
 
-  // Storm: every transport fault armed at --fault-rate.
+  // Storm: every transport fault armed at --fault-rate. The telemetry
+  // outputs (--report, --trace, --metrics-json) describe this run.
   config.fault_plan.set_transport_rates(fault_rate);
   std::cout << "storm sweep   (transport fault rate " << fault_rate << " per opportunity) ...\n";
-  campaign::Campaign storm(config, telem.sink());
-  const std::string storm_records = serialize(storm.run(spec).flat());
+  telemetry::MetricsSnapshot snapshot;
+  const std::string storm_records =
+      serialize(benchutil::run_campaign(&telem, config, spec, "fault_storm", &snapshot).flat());
 
-  const auto snapshot = storm.metrics().snapshot();
   common::Table table({"counter", "value"});
   for (const char* name : {"resilience.injected", "resilience.recovered",
                            "resilience.aborted", "campaign.shards_retried",

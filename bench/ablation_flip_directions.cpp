@@ -15,8 +15,7 @@ using namespace rh;
 
 int main(int argc, char** argv) {
   const common::CliArgs args(argc, argv);
-  const auto seed = static_cast<std::uint64_t>(
-      args.get_int("seed", static_cast<std::int64_t>(benchutil::kDefaultSeed)));
+  const auto seed = benchutil::seed_flag(args);
   const auto rows = static_cast<std::uint32_t>(args.get_positive_int("rows", 12));
 
   benchutil::banner("Ablation A9 (flip directions)",

@@ -14,8 +14,7 @@ using namespace rh;
 
 int main(int argc, char** argv) {
   const common::CliArgs args(argc, argv);
-  const auto seed = static_cast<std::uint64_t>(
-      args.get_int("seed", static_cast<std::int64_t>(benchutil::kDefaultSeed)));
+  const auto seed = benchutil::seed_flag(args);
   const auto rows = static_cast<std::uint32_t>(args.get_positive_int("rows", 10));
 
   benchutil::banner("Ablation A12 (onset curve)", "BER vs hammer count, ch0 vs ch7");
@@ -24,30 +23,19 @@ int main(int argc, char** argv) {
 
   const std::vector<std::uint64_t> counts{8'192,  16'384,  32'768,  65'536,
                                           98'304, 131'072, 196'608, 262'144};
-  const std::uint32_t channels[2] = {0, 7};
 
   // One shard per (hammer count, channel): `rows` rows starting at physical
   // row 410, every 23rd row, one Rowstripe0 measure_ber each. Each point of
   // the onset curve is an independent, journal-able unit of work.
+  core::ShardSpec rows_spec;
+  rows_spec.row_begin = 410;
+  rows_spec.row_end = 410 + rows * 23;
+  rows_spec.row_stride = 23;
   campaign::SweepSpec spec;
   spec.device = benchutil::paper_device_config(seed);
-  for (const std::uint64_t hammers : counts) {
-    for (const std::uint32_t channel : channels) {
-      core::ShardSpec shard;
-      shard.index = spec.shards.size();
-      shard.site = core::Site{channel, 0, 0};
-      shard.row_begin = 410;
-      shard.row_end = 410 + rows * 23;
-      shard.row_stride = 23;
-      shard.mode = core::ShardMode::kSinglePattern;
-      shard.pattern = 0;  // Rowstripe0
-      shard.hammers = hammers;
-      spec.shards.push_back(shard);
-    }
-  }
-
-  campaign::Campaign campaign(benchutil::campaign_config(args), telem.sink());
-  const auto result = campaign.run(spec);
+  spec.shards = core::plan_onset_shards(counts, {0, 7}, rows_spec);
+  const auto result =
+      benchutil::run_campaign(&telem, benchutil::campaign_config(args), spec, "onset");
 
   common::Table table({"hammers", "ch0 mean BER", "ch7 mean BER", "ch0 rows flipped",
                        "ch7 rows flipped"});

@@ -12,8 +12,7 @@ using namespace rh;
 
 int main(int argc, char** argv) {
   const common::CliArgs args(argc, argv);
-  const auto seed = static_cast<std::uint64_t>(
-      args.get_int("seed", static_cast<std::int64_t>(benchutil::kDefaultSeed)));
+  const auto seed = benchutil::seed_flag(args);
 
   benchutil::banner("Ablation A2 (temperature)", "BER vs chip temperature via the thermal rig");
 

@@ -58,8 +58,7 @@ std::uint64_t hammer_with_refresh(bender::BenderHost& host, const core::RowMap& 
 
 int main(int argc, char** argv) {
   const common::CliArgs args(argc, argv);
-  const auto seed = static_cast<std::uint64_t>(
-      args.get_int("seed", static_cast<std::int64_t>(benchutil::kDefaultSeed)));
+  const auto seed = benchutil::seed_flag(args);
 
   benchutil::banner("Ablation A5 (TRR efficacy)",
                     "256K-hammer attack with vs without interleaved REF");

@@ -17,8 +17,8 @@
 //                       latencies, throughput, fault summary) as JSON; also
 //                       forces a telemetry sink on so cmd.* counters exist
 //                       (campaign-backed benches only)
-// Campaign-backed benches (fig3/fig4/fig5, ablation_hammer_count,
-// ablation_fault_storm) also take:
+// Campaign-backed benches (fig3/fig4/fig5/fig6, ablation_hammer_count,
+// ablation_fault_storm) run their sweep through run_campaign and also take:
 //   --jobs=N            worker threads, each with a private device clone;
 //                       merged output is byte-identical for any N
 //   --checkpoint=PATH   JSONL results journal written per completed shard
@@ -101,6 +101,11 @@ inline void maybe_write_csv(const common::CliArgs& args, const common::Table& ta
 /// The calibrated device seed (the fault model's default).
 inline const std::uint64_t kDefaultSeed = fault::FaultConfig{}.seed;
 
+/// The --seed flag: the device seed, the calibrated one by default.
+inline std::uint64_t seed_flag(const common::CliArgs& args) {
+  return static_cast<std::uint64_t>(args.get_int("seed", static_cast<std::int64_t>(kDefaultSeed)));
+}
+
 /// Per-bench telemetry lifecycle: reads --metrics-json / --trace / --heatmap,
 /// attaches a Telemetry sink to the host's device when any is requested, and
 /// writes the requested outputs in finish(). When none of the flags is given
@@ -108,10 +113,10 @@ inline const std::uint64_t kDefaultSeed = fault::FaultConfig{}.seed;
 /// finish() is also where every bench warns about unknown flags: it runs
 /// after the last flag (--csv, read by maybe_write_csv) has been read.
 ///
-/// Campaign-backed benches pass sink() to the Campaign, which gives every
-/// worker host a private sink and absorbs them all back into this session's
-/// aggregate after the run — so the exported metrics/heatmap cover the whole
-/// worker fleet, not just the main thread's host.
+/// Campaign-backed benches hand the session to run_campaign, whose Campaign
+/// gives every worker host a private sink and absorbs them all back into
+/// this session's aggregate after the run — so the exported metrics/heatmap
+/// cover the whole worker fleet, not just the main thread's host.
 ///
 /// Usage:
 ///   TelemetrySession telem(args, host);   // right after constructing host
@@ -154,32 +159,6 @@ public:
   [[nodiscard]] bool enabled() const {
     return !metrics_path_.empty() || !trace_path_.empty() || !report_path_.empty() || heatmap_;
   }
-  [[nodiscard]] telemetry::Telemetry* sink() { return telemetry_.get(); }
-  [[nodiscard]] const std::string& report_path() const { return report_path_; }
-
-  /// Writes the --report document for a finished campaign (no-op without the
-  /// flag). run_survey_campaign calls this; benches that drive a Campaign by
-  /// hand call it themselves before finish().
-  void write_report(const std::string& label, const campaign::SweepSpec& spec,
-                    const campaign::Campaign& campaign, const campaign::CampaignResult& result) {
-    if (report_path_.empty()) return;
-    const profiling::RunReport report =
-        campaign::build_report(label, spec, campaign, result, telemetry_.get());
-    std::ofstream out(report_path_);
-    if (!out) throw common::ConfigError("cannot open report output file: " + report_path_);
-    profiling::write_report_json(out, report);
-    out << '\n';
-    std::cout << "(report written to " << report_path_ << ")\n";
-  }
-
-  /// Hands the session a finished campaign's span forest (copied): the
-  /// --trace export then carries the campaign -> shard -> attempt -> phase
-  /// tree alongside the command slices. run_survey_campaign calls this.
-  void set_spans(const telemetry::SpanSheet& spans) {
-    spans_.clear();
-    spans_.merge_from(spans);
-    have_spans_ = true;
-  }
 
   /// Warns about unknown flags, then writes the requested artifacts and
   /// prints one status line per file.
@@ -195,7 +174,7 @@ public:
     if (!trace_path_.empty()) {
       std::ofstream out(trace_path_);
       if (!out) throw common::ConfigError("cannot open trace output file: " + trace_path_);
-      telemetry_->write_chrome_trace(out, have_spans_ ? &spans_ : nullptr);
+      telemetry_->write_chrome_trace(out, &spans_);
       std::cout << "(trace written to " << trace_path_ << ")\n";
     }
     if (heatmap_) telemetry_->render_act_heatmap(std::cout);
@@ -207,6 +186,26 @@ public:
   }
 
 private:
+  friend campaign::CampaignResult run_campaign(TelemetrySession*, const campaign::CampaignConfig&,
+                                               const campaign::SweepSpec&, const std::string&,
+                                               telemetry::MetricsSnapshot*);
+
+  /// Keeps a finished campaign's span forest for the --trace export and
+  /// writes its --report document (no-op without the flag).
+  void record_campaign(const std::string& label, const campaign::SweepSpec& spec,
+                       const campaign::Campaign& campaign,
+                       const campaign::CampaignResult& result) {
+    spans_ = campaign.spans();
+    if (report_path_.empty()) return;
+    const profiling::RunReport report =
+        campaign::build_report(label, spec, campaign, result, telemetry_.get());
+    std::ofstream out(report_path_);
+    if (!out) throw common::ConfigError("cannot open report output file: " + report_path_);
+    profiling::write_report_json(out, report);
+    out << '\n';
+    std::cout << "(report written to " << report_path_ << ")\n";
+  }
+
   static void probe_writable(const std::string& path, const char* what) {
     if (path.empty()) return;
     // Probe in append mode: a truncating open would destroy an existing
@@ -224,8 +223,7 @@ private:
   std::string report_path_;
   bool heatmap_ = false;
   std::unique_ptr<telemetry::Telemetry> telemetry_;
-  telemetry::SpanSheet spans_;
-  bool have_spans_ = false;
+  telemetry::SpanSheet spans_;  ///< the last campaign's span forest (empty without one)
 };
 
 /// Parses the shared campaign flags: --jobs=N, --checkpoint=PATH, --resume,
@@ -263,21 +261,21 @@ inline campaign::CampaignConfig campaign_config(const common::CliArgs& args) {
   return config;
 }
 
-/// Runs a SpatialSurvey row sweep as a sharded campaign: identical records
-/// in identical order to SpatialSurvey::survey_rows() on one host, but
-/// spread over --jobs worker devices with checkpoint/resume. Worker
-/// telemetry is aggregated into `telem`'s sink.
-inline std::vector<core::RowRecord> run_survey_campaign(const common::CliArgs& args,
-                                                        std::uint64_t seed,
-                                                        const core::SurveyConfig& survey,
-                                                        TelemetrySession& telem,
-                                                        const std::string& label = "survey") {
-  const campaign::SweepSpec spec = campaign::survey_sweep(paper_device_config(seed), survey);
-  campaign::Campaign campaign(campaign_config(args), telem.sink());
-  const campaign::CampaignResult result = campaign.run(spec);
-  telem.set_spans(campaign.spans());
-  telem.write_report(label, spec, campaign, result);
-  return result.flat();
+/// Runs `spec` as a campaign labelled `label`, the one path every
+/// campaign-backed bench takes. With a session, the workers report into its
+/// sink, the span forest feeds --trace and the run report --report; a null
+/// session makes a telemetry-free reference run. `counters`, when given,
+/// receives the campaign's own campaign.* / resilience.* counters.
+inline campaign::CampaignResult run_campaign(TelemetrySession* telem,
+                                             const campaign::CampaignConfig& config,
+                                             const campaign::SweepSpec& spec,
+                                             const std::string& label,
+                                             telemetry::MetricsSnapshot* counters = nullptr) {
+  campaign::Campaign campaign(config, telem != nullptr ? telem->telemetry_.get() : nullptr);
+  campaign::CampaignResult result = campaign.run(spec);
+  if (telem != nullptr) telem->record_campaign(label, spec, campaign, result);
+  if (counters != nullptr) *counters = campaign.metrics().snapshot();
+  return result;
 }
 
 }  // namespace rh::benchutil

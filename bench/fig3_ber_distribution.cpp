@@ -19,8 +19,7 @@ using namespace rh;
 
 int main(int argc, char** argv) {
   const common::CliArgs args(argc, argv);
-  const auto seed = static_cast<std::uint64_t>(
-      args.get_int("seed", static_cast<std::int64_t>(benchutil::kDefaultSeed)));
+  const auto seed = benchutil::seed_flag(args);
 
   benchutil::banner("Figure 3", "BER across rows, channels, and data patterns");
 
@@ -31,7 +30,9 @@ int main(int argc, char** argv) {
   config.characterizer.ber_hammers =
       static_cast<std::uint64_t>(args.get_positive_int("hammers", 262144));
   config.characterizer.max_hammers = config.characterizer.ber_hammers;
-  const auto records = benchutil::run_survey_campaign(args, seed, config, telem, "fig3");
+  const auto spec = campaign::survey_sweep(benchutil::paper_device_config(seed), config);
+  const auto records =
+      benchutil::run_campaign(&telem, benchutil::campaign_config(args), spec, "fig3").flat();
   const auto stats = core::aggregate_ber(records);
 
   common::Table table({"channel", "pattern", "min", "q1", "median", "q3", "max", "mean", "rows"});

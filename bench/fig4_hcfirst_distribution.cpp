@@ -19,8 +19,7 @@ using namespace rh;
 
 int main(int argc, char** argv) {
   const common::CliArgs args(argc, argv);
-  const auto seed = static_cast<std::uint64_t>(
-      args.get_int("seed", static_cast<std::int64_t>(benchutil::kDefaultSeed)));
+  const auto seed = benchutil::seed_flag(args);
 
   benchutil::banner("Figure 4", "HC_first across rows, channels, and data patterns");
 
@@ -33,7 +32,9 @@ int main(int argc, char** argv) {
   config.characterizer.ber_hammers = config.characterizer.max_hammers;
   config.characterizer.wcdp_tolerance =
       static_cast<std::uint64_t>(args.get_positive_int("tolerance", 512));
-  const auto records = benchutil::run_survey_campaign(args, seed, config, telem, "fig4");
+  const auto spec = campaign::survey_sweep(benchutil::paper_device_config(seed), config);
+  const auto records =
+      benchutil::run_campaign(&telem, benchutil::campaign_config(args), spec, "fig4").flat();
   const auto stats = core::aggregate_hc_first(records);
 
   common::Table table({"channel", "pattern", "min", "q1", "median", "q3", "max", "mean", "rows"});

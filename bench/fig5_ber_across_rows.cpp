@@ -21,8 +21,7 @@ using namespace rh;
 
 int main(int argc, char** argv) {
   const common::CliArgs args(argc, argv);
-  const auto seed = static_cast<std::uint64_t>(
-      args.get_int("seed", static_cast<std::int64_t>(benchutil::kDefaultSeed)));
+  const auto seed = benchutil::seed_flag(args);
 
   benchutil::banner("Figure 5", "BER for different rows across a bank (per-row WCDP)");
 
@@ -42,7 +41,9 @@ int main(int argc, char** argv) {
   // The survey itself runs as a sharded campaign (--jobs/--checkpoint/
   // --resume); `host` stays around for the layout queries and the
   // single-sided boundary probe below, which are cheap and serial.
-  const auto records = benchutil::run_survey_campaign(args, seed, config, telem, "fig5");
+  const auto spec = campaign::survey_sweep(benchutil::paper_device_config(seed), config);
+  const auto records =
+      benchutil::run_campaign(&telem, benchutil::campaign_config(args), spec, "fig5").flat();
   const auto regions = core::paper_regions(host.device().geometry(), config.region_rows);
 
   common::Table table({"channel", "region", "physical row", "WCDP", "BER"});

@@ -1,7 +1,8 @@
 // Fig. 6 of the paper: per-bank BER variation. Every bank (8 channels x 2
 // pseudo channels x 16 banks = 256 banks) is summarized by the mean (y) and
 // coefficient of variation (x) of its per-row WCDP BER over the first,
-// middle, and last 100 rows.
+// middle, and last 100 rows. The scan runs as a sharded campaign (one shard
+// per bank region), so it takes the shared --jobs/--checkpoint/--resume flags.
 //
 // Paper's observations this harness reproduces in shape:
 //   - banks vary in mean BER (up to ~0.23% spread within channel 7)
@@ -14,32 +15,35 @@
 
 #include "bench_util.hpp"
 #include "common/ascii_plot.hpp"
+#include "core/shard.hpp"
 #include "core/spatial.hpp"
 
 using namespace rh;
 
 int main(int argc, char** argv) {
   const common::CliArgs args(argc, argv);
-  const auto seed = static_cast<std::uint64_t>(
-      args.get_int("seed", static_cast<std::int64_t>(benchutil::kDefaultSeed)));
+  const auto seed = benchutil::seed_flag(args);
 
   benchutil::banner("Figure 6", "BER variation across banks (mean vs CV, 256 banks)");
 
-  bender::BenderHost host(benchutil::paper_device_config(seed));
-  benchutil::TelemetrySession telem(args, host);
-  host.set_chip_temperature(85.0);
+  benchutil::TelemetrySession telem(args);
 
   core::SurveyConfig config;
   config.wcdp_by_ber = true;
   config.characterizer.ber_hammers =
       static_cast<std::uint64_t>(args.get_positive_int("hammers", 262144));
   config.characterizer.max_hammers = config.characterizer.ber_hammers;
-  const auto rows_per_region =
-      static_cast<std::uint32_t>(args.get_positive_int("rows-per-region", 100));
-  const auto stride = static_cast<std::uint32_t>(args.get_positive_int("row-stride", 8));
+  config.region_rows = static_cast<std::uint32_t>(args.get_positive_int("rows-per-region", 100));
+  config.row_stride = static_cast<std::uint32_t>(args.get_positive_int("row-stride", 8));
 
-  core::SpatialSurvey survey(host, config);
-  const auto points = survey.survey_banks(rows_per_region, stride);
+  // One BER-only shard per (channel, pc, bank, region), run as a campaign
+  // whose rigs settle to the sweep's 85 degC.
+  campaign::SweepSpec spec;
+  spec.device = benchutil::paper_device_config(seed);
+  spec.characterizer = config.characterizer;
+  spec.shards = core::plan_bank_shards(config, spec.device.geometry);
+  const auto points = core::aggregate_banks(
+      benchutil::run_campaign(&telem, benchutil::campaign_config(args), spec, "fig6").flat());
 
   common::Table table({"channel", "pc", "bank", "mean BER", "CV", "rows"});
   for (const auto& p : points) {
@@ -63,13 +67,9 @@ int main(int argc, char** argv) {
   // Headline checks.
   std::map<std::uint32_t, std::pair<double, double>> ch_minmax;  // channel -> {min,max} mean BER
   for (const auto& p : points) {
-    auto it = ch_minmax.find(p.site.channel);
-    if (it == ch_minmax.end()) {
-      ch_minmax[p.site.channel] = {p.mean_ber, p.mean_ber};
-    } else {
-      it->second.first = std::min(it->second.first, p.mean_ber);
-      it->second.second = std::max(it->second.second, p.mean_ber);
-    }
+    auto& [low, high] = ch_minmax.try_emplace(p.site.channel, p.mean_ber, p.mean_ber).first->second;
+    low = std::min(low, p.mean_ber);
+    high = std::max(high, p.mean_ber);
   }
   common::Table summary({"channel", "min bank mean", "max bank mean", "spread (pp)"});
   for (const auto& [ch, mm] : ch_minmax) {
@@ -84,14 +84,11 @@ int main(int argc, char** argv) {
 
   // Channel dominance: worst within-channel spread vs cross-channel spread.
   double max_within = 0.0;
-  for (const auto& [ch, mm] : ch_minmax) {
-    (void)ch;
-    max_within = std::max(max_within, mm.second - mm.first);
-  }
   double lo = 1e9;
   double hi = -1e9;
   for (const auto& [ch, mm] : ch_minmax) {
     (void)ch;
+    max_within = std::max(max_within, mm.second - mm.first);
     lo = std::min(lo, 0.5 * (mm.first + mm.second));
     hi = std::max(hi, 0.5 * (mm.first + mm.second));
   }

@@ -63,4 +63,41 @@ std::vector<ShardSpec> plan_survey_shards(const SurveyConfig& config,
   return shards;
 }
 
+std::vector<ShardSpec> plan_bank_shards(const SurveyConfig& config,
+                                        const hbm::Geometry& geometry) {
+  SurveyConfig site = config;
+  std::vector<ShardSpec> shards;
+  for (const std::uint32_t channel : config.channels) {
+    site.channels = {channel};
+    for (site.pseudo_channel = 0; site.pseudo_channel < geometry.pseudo_channels_per_channel;
+         ++site.pseudo_channel) {
+      for (site.bank = 0; site.bank < geometry.banks_per_pseudo_channel; ++site.bank) {
+        // A region never samples more than region_rows rows: one shard each.
+        for (ShardSpec shard : plan_survey_shards(site, geometry, config.region_rows)) {
+          shard.index = shards.size();
+          shards.push_back(shard);
+        }
+      }
+    }
+  }
+  return shards;
+}
+
+std::vector<ShardSpec> plan_onset_shards(const std::vector<std::uint64_t>& hammer_counts,
+                                         const std::vector<std::uint32_t>& channels,
+                                         const ShardSpec& rows) {
+  std::vector<ShardSpec> shards;
+  for (const std::uint64_t hammers : hammer_counts) {
+    for (const std::uint32_t channel : channels) {
+      ShardSpec shard = rows;
+      shard.index = shards.size();
+      shard.site.channel = channel;
+      shard.mode = ShardMode::kSinglePattern;
+      shard.hammers = hammers;
+      shards.push_back(shard);
+    }
+  }
+  return shards;
+}
+
 }  // namespace rh::core

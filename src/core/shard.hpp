@@ -69,4 +69,17 @@ struct ShardSpec {
                                                         const hbm::Geometry& geometry,
                                                         std::uint32_t max_rows_per_shard = 64);
 
+/// Fig. 6's bank scan: one shard per (channel, pseudo channel, bank, region)
+/// of `config.channels`, in that order, each region sampled per `config`.
+/// aggregate_banks over the merged records gives the per-bank points.
+[[nodiscard]] std::vector<ShardSpec> plan_bank_shards(const SurveyConfig& config,
+                                                      const hbm::Geometry& geometry);
+
+/// The onset curve: one kSinglePattern shard per (hammer count, channel),
+/// count-major. Each copies `rows` — its pseudo channel, bank, row range,
+/// stride and pattern — with the channel and hammer count filled in.
+[[nodiscard]] std::vector<ShardSpec> plan_onset_shards(
+    const std::vector<std::uint64_t>& hammer_counts, const std::vector<std::uint32_t>& channels,
+    const ShardSpec& rows);
+
 }  // namespace rh::core

@@ -13,6 +13,8 @@ struct Site {
   std::uint32_t pseudo_channel = 0;
   std::uint32_t bank = 0;
 
+  friend bool operator==(const Site&, const Site&) = default;
+
   [[nodiscard]] hbm::BankAddress bank_address() const {
     return hbm::BankAddress{channel, pseudo_channel, bank};
   }

@@ -55,38 +55,6 @@ std::vector<RowRecord> SpatialSurvey::survey_rows() {
   return records;
 }
 
-std::vector<SpatialSurvey::BankPoint> SpatialSurvey::survey_banks(std::uint32_t rows_per_region,
-                                                                  std::uint32_t stride) {
-  const auto& geometry = host_->device().geometry();
-  const auto regions = paper_regions(geometry, rows_per_region);
-  const RowMap map = RowMap::from_device(host_->device());
-
-  std::vector<BankPoint> points;
-  for (const std::uint32_t channel : config_.channels) {
-    for (std::uint32_t pc = 0; pc < geometry.pseudo_channels_per_channel; ++pc) {
-      for (std::uint32_t bank = 0; bank < geometry.banks_per_pseudo_channel; ++bank) {
-        const Site site{channel, pc, bank};
-        Characterizer chr(*host_, map, config_.characterizer);
-        std::vector<double> bers;
-        for (const auto& region : regions) {
-          for (std::uint32_t row = region.first_row; row < region.first_row + region.rows;
-               row += stride) {
-            const RowRecord rec = characterize_row_ber_only(chr, site, row);
-            bers.push_back(rec.wcdp_ber().ber());
-          }
-        }
-        BankPoint point;
-        point.site = site;
-        point.rows_tested = bers.size();
-        point.mean_ber = common::mean(bers);
-        point.cv = common::coefficient_of_variation(bers);
-        points.push_back(point);
-      }
-    }
-  }
-  return points;
-}
-
 std::string pattern_label(std::size_t pattern_index) {
   if (pattern_index < kAllPatterns.size()) {
     return std::string(to_string(kAllPatterns[pattern_index]));
@@ -149,6 +117,22 @@ std::vector<ChannelPatternStats> aggregate_hc_first(const std::vector<RowRecord>
                        values.push_back(static_cast<double>(*hc));
                      }
                    });
+}
+
+std::vector<BankPoint> aggregate_banks(const std::vector<RowRecord>& records) {
+  std::vector<std::pair<Site, std::vector<double>>> banks;  // WCDP BERs per site
+  for (const auto& rec : records) {
+    auto it = std::find_if(banks.begin(), banks.end(),
+                           [&](const auto& bank) { return bank.first == rec.site; });
+    if (it == banks.end()) it = banks.insert(banks.end(), {rec.site, {}});
+    it->second.push_back(rec.wcdp_ber().ber());
+  }
+  std::vector<BankPoint> points;
+  for (const auto& [site, bers] : banks) {
+    points.push_back(
+        {site, common::mean(bers), common::coefficient_of_variation(bers), bers.size()});
+  }
+  return points;
 }
 
 }  // namespace rh::core

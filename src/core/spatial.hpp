@@ -4,7 +4,8 @@
 //   Fig. 3: BER box-stats per (channel, data pattern incl. WCDP)
 //   Fig. 4: HC_first box-stats per (channel, data pattern incl. WCDP)
 //   Fig. 5: per-row WCDP BER across the first / middle / last 3 K rows
-//   Fig. 6: per-bank (mean BER, coefficient of variation) scatter
+//   Fig. 6: per-bank (mean BER, coefficient of variation) scatter, over the
+//           plan_bank_shards sweep (core/shard.hpp)
 //
 // The paper tests the first, middle, and last 3 K rows of one bank in every
 // channel, all four Table 1 patterns, five repeats, at 85 degC. The survey
@@ -62,21 +63,6 @@ public:
   /// Fig. 3/4/5 data: one RowRecord per sampled row per channel.
   [[nodiscard]] std::vector<RowRecord> survey_rows();
 
-  struct BankPoint {
-    Site site;
-    double mean_ber = 0.0;
-    double cv = 0.0;
-    std::size_t rows_tested = 0;
-  };
-
-  /// Fig. 6 data: per-bank mean/CV of WCDP BER over the first, middle, and
-  /// last `rows_per_region` rows sampled at `stride`, across every bank of
-  /// every pseudo channel of the configured channels.
-  [[nodiscard]] std::vector<BankPoint> survey_banks(std::uint32_t rows_per_region = 100,
-                                                    std::uint32_t stride = 10);
-
-  [[nodiscard]] const SurveyConfig& config() const { return config_; }
-
 private:
   bender::BenderHost* host_;
   SurveyConfig config_;
@@ -105,5 +91,18 @@ struct ChannelPatternStats {
 /// HC_first exists. Fig. 4's series.
 [[nodiscard]] std::vector<ChannelPatternStats> aggregate_hc_first(
     const std::vector<RowRecord>& records);
+
+/// One Fig. 6 point: a bank's mean and coefficient of variation of per-row
+/// WCDP BER.
+struct BankPoint {
+  Site site;
+  double mean_ber = 0.0;
+  double cv = 0.0;
+  std::size_t rows_tested = 0;
+};
+
+/// Per-bank mean/CV of WCDP BER, one point per site in order of first
+/// appearance. Over a plan_bank_shards sweep that is Fig. 6's series.
+[[nodiscard]] std::vector<BankPoint> aggregate_banks(const std::vector<RowRecord>& records);
 
 }  // namespace rh::core

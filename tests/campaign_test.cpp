@@ -13,6 +13,7 @@
 #include "campaign/progress.hpp"
 #include "campaign/record_io.hpp"
 #include "campaign/tail.hpp"
+#include "core/shard.hpp"
 #include "core/spatial.hpp"
 #include "resilience/fault.hpp"
 #include "telemetry/span.hpp"
@@ -106,6 +107,54 @@ TEST(CampaignTest, MatchesSpatialSurveyOnOneHost) {
   const auto serial = core::SpatialSurvey(host, survey).survey_rows();
 
   expect_records_equal(flat, serial);
+}
+
+TEST(CampaignTest, BankSweepIsOneShardPerBankRegionAndJobsInvariant) {
+  core::SurveyConfig survey;
+  survey.channels = {0};
+  survey.region_rows = 40;
+  survey.row_stride = 20;
+  survey.wcdp_by_ber = true;
+  SweepSpec spec;
+  spec.settle_thermal = false;
+  spec.shards = core::plan_bank_shards(survey, spec.device.geometry);
+
+  // Channel -> pseudo channel -> bank -> region, one BER-only shard each.
+  const auto& g = spec.device.geometry;
+  const auto regions = core::paper_regions(g, survey.region_rows);
+  ASSERT_EQ(spec.shards.size(),
+            g.pseudo_channels_per_channel * g.banks_per_pseudo_channel * regions.size());
+  std::size_t i = 0;
+  for (std::uint32_t pc = 0; pc < g.pseudo_channels_per_channel; ++pc) {
+    for (std::uint32_t bank = 0; bank < g.banks_per_pseudo_channel; ++bank) {
+      for (const auto& region : regions) {
+        const core::ShardSpec& shard = spec.shards[i];
+        EXPECT_EQ(shard.index, i);
+        EXPECT_EQ(shard.site, (core::Site{0, pc, bank})) << "shard " << i;
+        EXPECT_EQ(shard.row_begin, region.first_row) << "shard " << i;
+        EXPECT_EQ(shard.row_end, region.first_row + region.rows) << "shard " << i;
+        EXPECT_EQ(shard.row_stride, 20u);
+        EXPECT_EQ(shard.mode, core::ShardMode::kBerOnly);
+        ++i;
+      }
+    }
+  }
+
+  CampaignConfig serial = quiet_config();
+  serial.jobs = 1;
+  CampaignConfig wide = quiet_config();
+  wide.jobs = 4;
+  const auto points1 = core::aggregate_banks(Campaign(serial).run(spec).flat());
+  const auto points4 = core::aggregate_banks(Campaign(wide).run(spec).flat());
+  ASSERT_EQ(points1.size(), g.pseudo_channels_per_channel * g.banks_per_pseudo_channel);
+  ASSERT_EQ(points4.size(), points1.size());
+  for (std::size_t p = 0; p < points1.size(); ++p) {
+    EXPECT_EQ(points4[p].site, points1[p].site) << "point " << p;
+    EXPECT_EQ(points4[p].rows_tested, points1[p].rows_tested) << "point " << p;
+    // Bitwise double equality: the merge order is the plan order.
+    EXPECT_EQ(points4[p].mean_ber, points1[p].mean_ber) << "point " << p;
+    EXPECT_EQ(points4[p].cv, points1[p].cv) << "point " << p;
+  }
 }
 
 TEST(CampaignTest, ResumesFromTruncatedJournalToIdenticalResult) {

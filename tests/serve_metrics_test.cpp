@@ -312,10 +312,15 @@ TEST(ServeMetrics, StealCounterAgreesWithTheStealHistogramAndRigRows) {
   // deques — the free rig drains its own deque and must steal the shards
   // queued behind the pinned rig. (If the fat shard itself gets stolen at
   // the start, the roles swap symmetrically; either way a steal happens.)
+  // The fat shard is one onset point: 256 single-pattern measurements, over
+  // three times the small job's 72, so the pinned rig outlasts the free one.
   CampaignConfig fat = quick_config();
+  fat.kind = "onset";
   fat.channels = {0};
-  fat.max_rows_per_shard = 64;  // the whole channel as one shard
+  fat.hammer_counts = {262144};
+  fat.onset_rows = 256;
   fat.label = "steal-fat";
+  ASSERT_EQ(to_sweep_spec(fat).shards.size(), 1u);
   const HttpResponse fat_created =
       server.handle(request("POST", "/jobs", to_canonical_json(fat), "alice"));
   ASSERT_EQ(fat_created.status, 201) << fat_created.body;

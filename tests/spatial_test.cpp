@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "bender/host.hpp"
+#include "core/shard.hpp"
 
 namespace rh::core {
 namespace {
@@ -138,8 +139,16 @@ TEST_F(SurveyTest, BankSurveyEmitsOnePointPerBank) {
   host.device().set_temperature(85.0);
   SurveyConfig cfg = quick_config();
   cfg.channels = {0};
-  SpatialSurvey survey(host, cfg);
-  const auto points = survey.survey_banks(40, 20);
+  cfg.region_rows = 40;
+  cfg.row_stride = 20;
+  const RowMap map = RowMap::from_device(host.device());
+  Characterizer chr(host, map, cfg.characterizer);
+  std::vector<RowRecord> records;
+  for (const auto& shard : plan_bank_shards(cfg, host.device().geometry())) {
+    const auto rows = run_shard(chr, shard);
+    records.insert(records.end(), rows.begin(), rows.end());
+  }
+  const auto points = aggregate_banks(records);
   // 1 channel x 2 pseudo channels x 16 banks.
   EXPECT_EQ(points.size(), 32u);
   for (const auto& p : points) {
