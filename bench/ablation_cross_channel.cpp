@@ -6,29 +6,25 @@
 // disturbance mechanism is wordline-local, so cross-channel flips do not
 // occur; this harness runs the experiment and confirms the null result,
 // with a same-channel positive control.
-#include <bit>
 #include <iostream>
 
 #include "bench_util.hpp"
 #include "bender/program.hpp"
 #include "core/data_patterns.hpp"
 #include "core/row_map.hpp"
+#include "core/test_program.hpp"
 
 using namespace rh;
 
 namespace {
 
-/// Initializes `row`±0 in (channel) with zeros, returns a program handle.
+/// Reads `row` back from `channel` and counts the bits that are no longer 0.
 std::uint64_t read_flips(bender::BenderHost& host, std::uint32_t channel, std::uint32_t row,
                          const core::RowMap& map) {
   bender::ProgramBuilder b(host.device().geometry(), host.device().timings());
   b.read_row(0, map.physical_to_logical(row));
   const auto result = host.run(b.take(), channel, 0);
-  std::uint64_t flips = 0;
-  for (const std::uint8_t byte : result.readback) {
-    flips += static_cast<std::uint64_t>(std::popcount(static_cast<unsigned>(byte)));
-  }
-  return flips;
+  return core::tally_flips(result.readback, 0x00).bits;
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "core/characterizer.hpp"
 #include "core/data_patterns.hpp"
 #include "core/row_map.hpp"
+#include "core/test_program.hpp"
 
 using namespace rh;
 
@@ -28,11 +29,7 @@ std::uint64_t hammer_with_refresh(bender::BenderHost& host, const core::RowMap& 
   bender::ProgramBuilder b(geometry, timings);
   b.program().set_wide_register(0, core::make_row_image(geometry, 0x00));
   b.program().set_wide_register(1, core::make_row_image(geometry, 0xFF));
-  for (std::int64_t p = static_cast<std::int64_t>(victim) - 2; p <= victim + 2; ++p) {
-    if (p < 0 || p >= static_cast<std::int64_t>(geometry.rows_per_bank)) continue;
-    const bool agg = (p == victim - 1 || p == victim + 1);
-    b.init_row(bank, map.physical_to_logical(static_cast<std::uint32_t>(p)), agg ? 1 : 0);
-  }
+  core::init_neighbourhood(b, map, bank, victim, 2);
   b.ldi(0, map.physical_to_logical(victim - 1));
   b.ldi(1, map.physical_to_logical(victim + 1));
   const std::uint64_t chunks = refs == 0 ? 1 : refs;
@@ -46,12 +43,7 @@ std::uint64_t hammer_with_refresh(bender::BenderHost& host, const core::RowMap& 
   }
   b.read_row(bank, map.physical_to_logical(victim));
   const auto result = host.run(b.take(), site.channel, site.pseudo_channel);
-
-  std::uint64_t flips = 0;
-  for (const std::uint8_t byte : result.readback) {
-    flips += static_cast<std::uint64_t>(std::popcount(static_cast<unsigned>(byte)));
-  }
-  return flips;
+  return core::tally_flips(result.readback, 0x00).bits;
 }
 
 }  // namespace

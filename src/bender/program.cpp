@@ -1,6 +1,7 @@
 #include "bender/program.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -178,18 +179,18 @@ constexpr std::uint8_t kScratchRow = 31;
 constexpr std::uint8_t kScratchCol = 30;
 }  // namespace
 
-ProgramBuilder& ProgramBuilder::init_row(std::uint8_t bank, std::uint32_t row,
-                                         std::uint8_t wide_reg) {
-  const auto pad_until = [this](hbm::Cycle target) {
-    if (t_ >= target) return;
-    const hbm::Cycle gap = target - t_;
-    if (gap == 1) {
-      nop();
-    } else {
-      sleep(static_cast<std::int64_t>(gap - 1));
-    }
-  };
+void ProgramBuilder::pad_until(hbm::Cycle target) {
+  if (t_ >= target) return;
+  const hbm::Cycle gap = target - t_;
+  if (gap == 1) {
+    nop();
+  } else {
+    sleep(static_cast<std::int64_t>(gap - 1));
+  }
+}
 
+ProgramBuilder& ProgramBuilder::column_pass(std::uint8_t bank, std::uint32_t row,
+                                            std::optional<std::uint8_t> wide_reg) {
   ldi(kScratchRow, row);
   const hbm::Cycle act_t = t_;
   act(bank, kScratchRow);
@@ -202,57 +203,31 @@ ProgramBuilder& ProgramBuilder::init_row(std::uint8_t bank, std::uint32_t row,
     pad_until(target);
     last_col = t_;
     any_col = true;
-    wr(bank, kScratchCol, wide_reg);
+    if (wide_reg) {
+      wr(bank, kScratchCol, *wide_reg);
+    } else {
+      rd(bank, kScratchCol);
+    }
   }
-  pad_until(std::max(act_t + timings_.tRAS, last_col + timings_.tWR));
+  // The only timing difference: a write recovers for tWR, a read for tRTP.
+  const hbm::Cycle recovery = wide_reg ? timings_.tWR : timings_.tRTP;
+  pad_until(std::max(act_t + timings_.tRAS, last_col + recovery));
   const hbm::Cycle pre_t = t_;
   pre(bank);
   pad_until(pre_t + timings_.tRP);
   return *this;
+}
+
+ProgramBuilder& ProgramBuilder::init_row(std::uint8_t bank, std::uint32_t row,
+                                         std::uint8_t wide_reg) {
+  return column_pass(bank, row, wide_reg);
 }
 
 ProgramBuilder& ProgramBuilder::read_row(std::uint8_t bank, std::uint32_t row) {
-  const auto pad_until = [this](hbm::Cycle target) {
-    if (t_ >= target) return;
-    const hbm::Cycle gap = target - t_;
-    if (gap == 1) {
-      nop();
-    } else {
-      sleep(static_cast<std::int64_t>(gap - 1));
-    }
-  };
-
-  ldi(kScratchRow, row);
-  const hbm::Cycle act_t = t_;
-  act(bank, kScratchRow);
-  hbm::Cycle last_col = 0;
-  bool any_col = false;
-  for (std::uint32_t col = 0; col < geometry_.columns_per_row; ++col) {
-    ldi(kScratchCol, col);
-    hbm::Cycle target = act_t + timings_.tRCD;
-    if (any_col) target = std::max(target, last_col + timings_.tCCD);
-    pad_until(target);
-    last_col = t_;
-    any_col = true;
-    rd(bank, kScratchCol);
-  }
-  pad_until(std::max(act_t + timings_.tRAS, last_col + timings_.tRTP));
-  const hbm::Cycle pre_t = t_;
-  pre(bank);
-  pad_until(pre_t + timings_.tRP);
-  return *this;
+  return column_pass(bank, row, std::nullopt);
 }
 
 ProgramBuilder& ProgramBuilder::touch_row(std::uint8_t bank, std::uint32_t row) {
-  const auto pad_until = [this](hbm::Cycle target) {
-    if (t_ >= target) return;
-    const hbm::Cycle gap = target - t_;
-    if (gap == 1) {
-      nop();
-    } else {
-      sleep(static_cast<std::int64_t>(gap - 1));
-    }
-  };
   ldi(kScratchRow, row);
   const hbm::Cycle act_t = t_;
   act(bank, kScratchRow);
@@ -269,15 +244,6 @@ ProgramBuilder& ProgramBuilder::hammer_loop_raw(std::uint8_t bank, std::uint32_t
   // Register plan: r29 = i, r28 = count, r27 = row_a, r26 = row_b.
   // Builder virtual time models the FIRST iteration; the loop body is padded
   // so every iteration has identical, legal spacing.
-  const auto pad_until = [this](hbm::Cycle target) {
-    if (t_ >= target) return;
-    const hbm::Cycle gap = target - t_;
-    if (gap == 1) {
-      nop();
-    } else {
-      sleep(static_cast<std::int64_t>(gap - 1));
-    }
-  };
   const hbm::Cycle on = std::max<hbm::Cycle>(static_cast<hbm::Cycle>(on_time), timings_.tRAS);
 
   ldi(29, 0);

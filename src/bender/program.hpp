@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -109,8 +110,18 @@ public:
   /// Access to the program being built (e.g. to preload wide registers).
   [[nodiscard]] Program& program() { return program_; }
 
+  /// Geometry the program is built for (sizes the wide-register images).
+  [[nodiscard]] const hbm::Geometry& geometry() const { return geometry_; }
+
 private:
   ProgramBuilder& emit(const Instruction& instruction, hbm::Cycle cycles);
+  /// Pads with NOP/SLEEP until virtual time reaches `target` (no-op if it
+  /// already has).
+  void pad_until(hbm::Cycle target);
+  /// ACT `row`, one WR per column from `wide_reg` (or one RD per column when
+  /// empty) at tRCD/tCCD spacing, then PRE after tRAS and tWR/tRTP.
+  ProgramBuilder& column_pass(std::uint8_t bank, std::uint32_t row,
+                              std::optional<std::uint8_t> wide_reg);
 
   hbm::Geometry geometry_;
   hbm::TimingParams timings_;

@@ -29,27 +29,6 @@ std::string read_all(const std::string& path) {
   return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
 }
 
-struct SplitLines {
-  std::vector<std::string> lines;
-  bool final_newline = true;  ///< false when trailing bytes had no '\n'
-};
-
-SplitLines split_lines(const std::string& content) {
-  SplitLines out;
-  std::size_t start = 0;
-  while (start < content.size()) {
-    const std::size_t nl = content.find('\n', start);
-    if (nl == std::string::npos) {
-      out.lines.push_back(content.substr(start));
-      out.final_newline = false;
-      break;
-    }
-    out.lines.push_back(content.substr(start, nl - start));
-    start = nl + 1;
-  }
-  return out;
-}
-
 // --- payload validators (throw ConfigError; mirror the readers) ----------
 
 /// Field checks matter for their throws alone; the values are discarded.

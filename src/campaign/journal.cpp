@@ -137,22 +137,9 @@ JournalReader::JournalReader(const std::string& path) {
   }
   std::string content((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
 
-  // Split into lines, keeping track of whether the final one was
-  // newline-terminated: a partial tail is the classic kill-mid-append
+  // A partial (unterminated) last line is the classic kill-mid-append
   // residue and may only ever be torn, never corrupt.
-  std::vector<std::string> lines;
-  bool final_newline = true;
-  std::size_t start = 0;
-  while (start < content.size()) {
-    const std::size_t nl = content.find('\n', start);
-    if (nl == std::string::npos) {
-      lines.push_back(content.substr(start));
-      final_newline = false;
-      break;
-    }
-    lines.push_back(content.substr(start, nl - start));
-    start = nl + 1;
-  }
+  const std::vector<std::string> lines = split_lines(content).lines;
   if (lines.empty()) {
     throw common::ConfigError("checkpoint journal is empty: " + path);
   }
@@ -241,7 +228,6 @@ JournalReader::JournalReader(const std::string& path) {
   }
   // An intact partial tail has no newline on disk; never claim more bytes
   // than the file holds.
-  (void)final_newline;
   intact_bytes_ = std::min<std::uint64_t>(intact_bytes_, content.size());
 }
 

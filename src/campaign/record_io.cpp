@@ -209,6 +209,22 @@ JsonValue parse_json(std::string_view text, const std::string& what) {
   return v;
 }
 
+SplitLines split_lines(const std::string& content) {
+  SplitLines out;
+  std::size_t start = 0;
+  while (start < content.size()) {
+    const std::size_t nl = content.find('\n', start);
+    if (nl == std::string::npos) {
+      out.lines.push_back(content.substr(start));
+      out.final_newline = false;
+      break;
+    }
+    out.lines.push_back(content.substr(start, nl - start));
+    start = nl + 1;
+  }
+  return out;
+}
+
 std::string format_double_exact(double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.17g", v);

@@ -10,6 +10,9 @@
 // The read side is a small recursive-descent JSON parser (objects, arrays,
 // strings, numbers, true/false/null) that keeps raw number text so integer
 // fields can be re-parsed without a double round-trip.
+//
+// split_lines is the one newline splitter the JSONL readers (journal
+// resume, fsck, tail) share.
 #pragma once
 
 #include <cstdint>
@@ -55,5 +58,15 @@ void append_row_record_json(std::string& out, const core::RowRecord& record);
 /// Formats a double with enough digits to round-trip exactly through
 /// strtod (17 significant digits).
 [[nodiscard]] std::string format_double_exact(double v);
+
+/// A file's content split at '\n' (the newlines dropped).
+struct SplitLines {
+  std::vector<std::string> lines;
+  bool final_newline = true;  ///< false when trailing bytes had no '\n'
+};
+
+/// Splits `content` into lines; trailing bytes with no newline become the
+/// last line, with `final_newline` false (a kill mid-append leaves them).
+[[nodiscard]] SplitLines split_lines(const std::string& content);
 
 }  // namespace rh::campaign

@@ -23,18 +23,13 @@ namespace {
 std::vector<std::string> intact_lines(const std::string& path, bool& torn) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw common::ConfigError("cannot open metrics stream: " + path);
-  const std::string content((std::istreambuf_iterator<char>(in)),
-                            std::istreambuf_iterator<char>());
-  std::vector<std::string> lines;
-  std::size_t start = 0;
-  for (;;) {
-    const std::size_t nl = content.find('\n', start);
-    if (nl == std::string::npos) break;
-    lines.push_back(content.substr(start, nl - start));
-    start = nl + 1;
+  SplitLines split = split_lines(
+      std::string((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>()));
+  if (!split.final_newline) {
+    torn = true;
+    split.lines.pop_back();
   }
-  if (start < content.size()) torn = true;
-  return lines;
+  return std::move(split.lines);
 }
 
 std::uint64_t hex_u64(const std::string& text) {

@@ -1,10 +1,8 @@
 #include "core/attack.hpp"
 
-#include <bit>
-
 #include "bender/program.hpp"
 #include "common/assert.hpp"
-#include "core/data_patterns.hpp"
+#include "core/test_program.hpp"
 
 namespace rh::core {
 
@@ -29,9 +27,7 @@ ManySidedResult AttackRunner::many_sided(const Site& site, std::uint32_t first_p
   const auto bank = static_cast<std::uint8_t>(site.bank);
 
   bender::ProgramBuilder b(geometry, timings);
-  b.mrs(hbm::ModeRegisters::kEccRegister, 0x0);
-  b.program().set_wide_register(0, make_row_image(geometry, 0x00));
-  b.program().set_wide_register(1, make_row_image(geometry, 0xFF));
+  raw_flip_prologue(b, 0x00, 0xFF);
 
   std::vector<std::uint32_t> aggressors;
   std::vector<std::uint32_t> victims;
@@ -39,7 +35,7 @@ ManySidedResult AttackRunner::many_sided(const Site& site, std::uint32_t first_p
     const std::uint32_t p = first_physical + off;
     const bool is_aggressor = (off % 2 == 0);
     (is_aggressor ? aggressors : victims).push_back(p);
-    b.init_row(bank, map_->physical_to_logical(p), is_aggressor ? 1 : 0);
+    b.init_row(bank, map_->physical_to_logical(p), is_aggressor ? kAggressorWide : kVictimWide);
   }
 
   // Split the double-sided activation budget (2 x hammers) over the
@@ -66,12 +62,9 @@ ManySidedResult AttackRunner::many_sided(const Site& site, std::uint32_t first_p
   ManySidedResult out;
   out.dram_time_ms = result.elapsed_ms();
   const std::size_t row_bytes = geometry.row_bytes();
+  const std::span<const std::uint8_t> readback(result.readback);
   for (std::size_t v = 0; v < victims.size(); ++v) {
-    std::uint64_t flips = 0;
-    for (std::size_t i = 0; i < row_bytes; ++i) {
-      flips += static_cast<std::uint64_t>(
-          std::popcount(static_cast<unsigned>(result.readback[v * row_bytes + i])));
-    }
+    const std::uint64_t flips = tally_flips(readback.subspan(v * row_bytes, row_bytes), 0x00).bits;
     out.per_victim_flips.push_back(flips);
     out.total_victim_flips += flips;
   }
@@ -87,15 +80,13 @@ AttackResult AttackRunner::run(const Site& site, std::uint32_t victim_physical,
   const auto bank = static_cast<std::uint8_t>(site.bank);
 
   bender::ProgramBuilder b(geometry, timings);
-  b.mrs(hbm::ModeRegisters::kEccRegister, 0x0);
-  b.program().set_wide_register(0, make_row_image(geometry, 0x00));
-  b.program().set_wide_register(1, make_row_image(geometry, 0xFF));
+  raw_flip_prologue(b, 0x00, 0xFF);
 
   // Victim + aggressors; the decoy keeps its power-on content (an attacker
   // does not care what the decoy row holds).
-  b.init_row(bank, map_->physical_to_logical(victim_physical), 0);
-  b.init_row(bank, map_->physical_to_logical(victim_physical - 1), 1);
-  b.init_row(bank, map_->physical_to_logical(victim_physical + 1), 1);
+  b.init_row(bank, map_->physical_to_logical(victim_physical), kVictimWide);
+  b.init_row(bank, map_->physical_to_logical(victim_physical - 1), kAggressorWide);
+  b.init_row(bank, map_->physical_to_logical(victim_physical + 1), kAggressorWide);
 
   b.ldi(0, map_->physical_to_logical(victim_physical - 1));
   b.ldi(1, map_->physical_to_logical(victim_physical + 1));
@@ -123,9 +114,7 @@ AttackResult AttackRunner::run(const Site& site, std::uint32_t victim_physical,
 
   AttackResult out;
   out.dram_time_ms = result.elapsed_ms();
-  for (const std::uint8_t byte : result.readback) {
-    out.victim_flips += static_cast<std::uint64_t>(std::popcount(static_cast<unsigned>(byte)));
-  }
+  out.victim_flips = tally_flips(result.readback, 0x00).bits;
   return out;
 }
 

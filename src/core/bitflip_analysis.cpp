@@ -4,6 +4,7 @@
 
 #include "bender/program.hpp"
 #include "common/assert.hpp"
+#include "core/test_program.hpp"
 
 namespace rh::core {
 
@@ -17,15 +18,8 @@ RowFlipProfile BitflipAnalyzer::profile_row(const Site& site, std::uint32_t phys
   const auto bank = static_cast<std::uint8_t>(site.bank);
 
   bender::ProgramBuilder b(geometry, host_->device().timings());
-  b.mrs(hbm::ModeRegisters::kEccRegister, 0x0);
-  b.program().set_wide_register(0, make_row_image(geometry, victim_byte(pattern)));
-  b.program().set_wide_register(1, make_row_image(geometry, aggressor_byte(pattern)));
-  for (std::int64_t p = static_cast<std::int64_t>(physical_row) - 2;
-       p <= static_cast<std::int64_t>(physical_row) + 2; ++p) {
-    if (p < 0 || p >= static_cast<std::int64_t>(geometry.rows_per_bank)) continue;
-    const bool agg = (p == physical_row - 1 || p == physical_row + 1);
-    b.init_row(bank, map_->physical_to_logical(static_cast<std::uint32_t>(p)), agg ? 1 : 0);
-  }
+  raw_flip_prologue(b, victim_byte(pattern), aggressor_byte(pattern));
+  init_neighbourhood(b, *map_, bank, physical_row, 2);
   b.ldi(0, map_->physical_to_logical(physical_row - 1));
   b.ldi(1, map_->physical_to_logical(physical_row + 1));
   b.hammer(bank, 0, 1, static_cast<std::int64_t>(hammers));

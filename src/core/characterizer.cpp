@@ -1,11 +1,11 @@
 #include "core/characterizer.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <string>
 
 #include "common/assert.hpp"
 #include "common/error.hpp"
+#include "core/test_program.hpp"
 
 namespace rh::core {
 
@@ -32,25 +32,16 @@ BerResult Characterizer::hammer_and_read(const Site& site, std::uint32_t victim_
   const auto bank = static_cast<std::uint8_t>(site.bank);
 
   bender::ProgramBuilder b(geometry, timings);
-  // Methodology (§3.1): disable on-die ECC via the mode register so the
-  // measurement sees raw bitflips. (Power-on default has ECC enabled.)
-  b.mrs(hbm::ModeRegisters::kEccRegister, 0x0);
-  b.program().set_wide_register(0, make_row_image(geometry, victim_byte(pattern)));
-  b.program().set_wide_register(1, make_row_image(geometry, aggressor_byte(pattern)));
-
-  // Initialize the neighbourhood: victim and V±[2:surround] with the victim
-  // byte, aggressors V±1 with the aggressor byte (Table 1).
-  const auto v = static_cast<std::int64_t>(victim_physical);
-  const std::int64_t rows = geometry.rows_per_bank;
-  for (std::int64_t p = v - config_.surround_rows; p <= v + config_.surround_rows; ++p) {
-    if (p < 0 || p >= rows) continue;
-    const bool is_aggressor = (p == v - 1 || p == v + 1);
-    const std::uint32_t logical = map_.physical_to_logical(static_cast<std::uint32_t>(p));
-    b.init_row(bank, logical, is_aggressor ? 1 : 0);
-  }
+  // Methodology (§3.1): raw bitflips with ECC off (power-on default has it
+  // on), and the Table 1 neighbourhood: victim and V±[2:surround] with the
+  // victim byte, aggressors V±1 with the aggressor byte.
+  raw_flip_prologue(b, victim_byte(pattern), aggressor_byte(pattern));
+  init_neighbourhood(b, map_, bank, victim_physical, config_.surround_rows);
 
   // Double-sided hammering; rows at the bank edge fall back to single-sided
   // with the same total activation count.
+  const auto v = static_cast<std::int64_t>(victim_physical);
+  const std::int64_t rows = geometry.rows_per_bank;
   const bool has_above = v - 1 >= 0;
   const bool has_below = v + 1 < rows;
   const auto on_time = static_cast<std::int64_t>(config_.aggressor_on_time);
@@ -79,18 +70,14 @@ BerResult Characterizer::hammer_and_read(const Site& site, std::uint32_t victim_
 
   const auto result = host_->run(b.take(), site.channel, site.pseudo_channel);
 
-  BerResult out;
-  out.bits_tested = geometry.row_bits();
-  out.elapsed_ms = result.elapsed_ms();
-  const std::uint8_t expected = victim_byte(pattern);
   RH_ENSURES(result.readback.size() == geometry.row_bytes());
-  for (const std::uint8_t got : result.readback) {
-    const auto diff = static_cast<unsigned>(got ^ expected);
-    out.bit_errors += static_cast<std::uint64_t>(std::popcount(diff));
-    out.ones_to_zeros += static_cast<std::uint64_t>(std::popcount(diff & expected));
-    out.zeros_to_ones +=
-        static_cast<std::uint64_t>(std::popcount(diff & static_cast<unsigned>(~expected & 0xff)));
-  }
+  const FlipTally flips = tally_flips(result.readback, victim_byte(pattern));
+  BerResult out;
+  out.bit_errors = flips.bits;
+  out.bits_tested = geometry.row_bits();
+  out.ones_to_zeros = flips.ones_to_zeros;
+  out.zeros_to_ones = flips.zeros_to_ones;
+  out.elapsed_ms = result.elapsed_ms();
   return out;
 }
 

@@ -6,7 +6,7 @@
 #include "bender/program.hpp"
 #include "common/assert.hpp"
 #include "common/error.hpp"
-#include "core/data_patterns.hpp"
+#include "core/test_program.hpp"
 
 namespace rh::core {
 
@@ -42,18 +42,6 @@ void RowMap::set(std::uint32_t logical, std::uint32_t physical) {
   phys_to_log_[physical] = logical;
 }
 
-namespace {
-
-std::size_t count_mismatch(std::span<const std::uint8_t> data, std::uint8_t expected) {
-  std::size_t flips = 0;
-  for (std::uint8_t b : data) {
-    flips += static_cast<std::size_t>(std::popcount(static_cast<unsigned>(b ^ expected)));
-  }
-  return flips;
-}
-
-}  // namespace
-
 AdjacencyProbe probe_adjacency(bender::BenderHost& host, const Site& site,
                                std::uint32_t aggressor_logical, std::uint32_t window,
                                std::uint64_t hammers) {
@@ -65,13 +53,12 @@ AdjacencyProbe probe_adjacency(bender::BenderHost& host, const Site& site,
       std::min(geometry.rows_per_bank - 1, aggressor_logical + window);
 
   bender::ProgramBuilder b(geometry, host.device().timings());
-  b.mrs(hbm::ModeRegisters::kEccRegister, 0x0);  // raw flips, per §3.1
   // Victims all-zero (anti cells charged + opposite aggressor = strongest
   // coupling); the aggressor all-one.
-  b.program().set_wide_register(0, make_row_image(geometry, 0x00));
-  b.program().set_wide_register(1, make_row_image(geometry, 0xFF));
+  raw_flip_prologue(b, 0x00, 0xFF);
   for (std::uint32_t r = lo; r <= hi; ++r) {
-    b.init_row(static_cast<std::uint8_t>(site.bank), r, r == aggressor_logical ? 1 : 0);
+    b.init_row(static_cast<std::uint8_t>(site.bank), r,
+               r == aggressor_logical ? kAggressorWide : kVictimWide);
   }
   b.ldi(0, aggressor_logical);
   b.hammer_single(static_cast<std::uint8_t>(site.bank), 0, static_cast<std::int64_t>(hammers));
@@ -89,7 +76,7 @@ AdjacencyProbe probe_adjacency(bender::BenderHost& host, const Site& site,
   const std::size_t row_bytes = geometry.row_bytes();
   for (std::size_t i = 0; i < read_order.size(); ++i) {
     const std::span<const std::uint8_t> row(result.readback.data() + i * row_bytes, row_bytes);
-    if (count_mismatch(row, 0x00) > 0) probe.victims_logical.push_back(read_order[i]);
+    if (tally_flips(row, 0x00).bits > 0) probe.victims_logical.push_back(read_order[i]);
   }
   return probe;
 }
@@ -245,9 +232,7 @@ std::vector<std::uint32_t> find_subarray_boundaries(bender::BenderHost& host, co
   // each existing physical neighbour collected flips.
   const auto probe = [&](std::uint32_t agg) {
     bender::ProgramBuilder b(geometry, host.device().timings());
-    b.mrs(hbm::ModeRegisters::kEccRegister, 0x0);  // raw flips, per §3.1
-    b.program().set_wide_register(0, make_row_image(geometry, 0x00));
-    b.program().set_wide_register(1, make_row_image(geometry, 0xFF));
+    raw_flip_prologue(b, 0x00, 0xFF);
     const auto bank = static_cast<std::uint8_t>(site.bank);
     std::vector<std::uint32_t> victims;
     for (const std::int64_t d : {-1, +1}) {
@@ -256,9 +241,9 @@ std::vector<std::uint32_t> find_subarray_boundaries(bender::BenderHost& host, co
       victims.push_back(static_cast<std::uint32_t>(v));
     }
     for (const std::uint32_t v : victims) {
-      b.init_row(bank, map.physical_to_logical(v), 0);
+      b.init_row(bank, map.physical_to_logical(v), kVictimWide);
     }
-    b.init_row(bank, map.physical_to_logical(agg), 1);
+    b.init_row(bank, map.physical_to_logical(agg), kAggressorWide);
     b.ldi(0, map.physical_to_logical(agg));
     b.hammer_single(bank, 0, 480'000);
     for (const std::uint32_t v : victims) {
@@ -272,7 +257,7 @@ std::vector<std::uint32_t> find_subarray_boundaries(bender::BenderHost& host, co
     } flips;
     for (std::size_t i = 0; i < victims.size(); ++i) {
       const std::span<const std::uint8_t> row(result.readback.data() + i * row_bytes, row_bytes);
-      const bool flipped = count_mismatch(row, 0x00) > 0;
+      const bool flipped = tally_flips(row, 0x00).bits > 0;
       if (victims[i] + 1 == agg) flips.above = flipped;
       if (victims[i] == agg + 1) flips.below = flipped;
     }

@@ -1,10 +1,8 @@
 #include "defense/harness.hpp"
 
-#include <bit>
-
 #include "bender/program.hpp"
 #include "common/assert.hpp"
-#include "core/data_patterns.hpp"
+#include "core/test_program.hpp"
 
 namespace rh::defense {
 
@@ -23,16 +21,8 @@ DefenseRunResult DefenseHarness::run_double_sided(const core::Site& site,
   // Initialize the neighbourhood through the regular program path.
   {
     bender::ProgramBuilder b(geometry, timings);
-    b.mrs(hbm::ModeRegisters::kEccRegister, 0x0);
-    b.program().set_wide_register(0, core::make_row_image(geometry, 0x00));
-    b.program().set_wide_register(1, core::make_row_image(geometry, 0xFF));
-    for (std::int64_t p = static_cast<std::int64_t>(victim_physical) - 2;
-         p <= static_cast<std::int64_t>(victim_physical) + 2; ++p) {
-      if (p < 0 || p >= static_cast<std::int64_t>(geometry.rows_per_bank)) continue;
-      const bool agg = (p == victim_physical - 1 || p == victim_physical + 1);
-      b.init_row(static_cast<std::uint8_t>(site.bank),
-                 map_->physical_to_logical(static_cast<std::uint32_t>(p)), agg ? 1 : 0);
-    }
+    core::raw_flip_prologue(b, 0x00, 0xFF);
+    core::init_neighbourhood(b, *map_, static_cast<std::uint8_t>(site.bank), victim_physical, 2);
     (void)host_->run(b.take(), site.channel, site.pseudo_channel);
   }
 
@@ -75,10 +65,7 @@ DefenseRunResult DefenseHarness::run_double_sided(const core::Site& site,
   bender::ProgramBuilder b(geometry, timings);
   b.read_row(static_cast<std::uint8_t>(site.bank), map_->physical_to_logical(victim_physical));
   const auto readback = host_->run(b.take(), site.channel, site.pseudo_channel);
-  for (const std::uint8_t byte : readback.readback) {
-    result.victim_flips +=
-        static_cast<std::uint64_t>(std::popcount(static_cast<unsigned>(byte)));
-  }
+  result.victim_flips = core::tally_flips(readback.readback, 0x00).bits;
   return result;
 }
 

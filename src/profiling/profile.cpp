@@ -95,9 +95,12 @@ PhaseScope::PhaseScope(Profile& profile, Phase phase, const std::uint64_t* cycle
 PhaseScope::~PhaseScope() {
   const auto end = std::chrono::steady_clock::now();
   const std::uint64_t end_cycles = cycle_clock_ != nullptr ? *cycle_clock_ : 0;
-  if (spans_ != nullptr) spans_->close(span_id_, end_cycles, end);
-  profile_->record(phase_, end_cycles - start_cycles_,
-                   std::chrono::duration<double, std::milli>(end - start_).count());
+  // A recorded span and the profile share one subtraction, so the span's
+  // wall extent is exactly the wall time the profile adds.
+  const double wall_ms = span_id_ != 0
+                             ? spans_->close(span_id_, end_cycles, end)
+                             : std::chrono::duration<double, std::milli>(end - start_).count();
+  profile_->record(phase_, end_cycles - start_cycles_, wall_ms);
 }
 
 }  // namespace rh::profiling

@@ -83,7 +83,8 @@ private:
 /// steady clock and `*cycle_clock` (null -> 0) once at each end, adds one
 /// call plus the cycles and wall time it spanned to `profile`, and, with a
 /// TraceContext attached, opens and closes the phase's span with the same
-/// stamps. A span the per-attempt budget drops still counts in the profile.
+/// stamps; the profile then adds the span's own wall extent, so the two agree
+/// exactly. A span the per-attempt budget drops still counts in the profile.
 class PhaseScope {
 public:
   PhaseScope(Profile& profile, Phase phase, const std::uint64_t* cycle_clock = nullptr,

@@ -91,8 +91,8 @@ std::uint64_t TraceContext::open(Phase phase, std::uint64_t cycle, Clock::time_p
   return push(span);
 }
 
-void TraceContext::close(std::uint64_t id, std::uint64_t cycle, Clock::time_point at) {
-  if (id == 0) return;  // budget-dropped span
+double TraceContext::close(std::uint64_t id, std::uint64_t cycle, Clock::time_point at) {
+  if (id == 0) return 0.0;  // budget-dropped span
   const double wall = wall_ms(at);
   while (!stack_.empty()) {
     Span& span = sheet_->at(stack_.back());
@@ -100,10 +100,11 @@ void TraceContext::close(std::uint64_t id, std::uint64_t cycle, Clock::time_poin
     span.end_cycle = cycle;
     span.end_wall_ms = wall;
     span.open = false;
-    if (span.id == id) return;
+    if (span.id == id) return span.end_wall_ms - span.begin_wall_ms;
     // An out-of-order close (exception unwound past inner scopes): the
     // skipped spans close at the same instant rather than staying open.
   }
+  return 0.0;
 }
 
 void TraceContext::mark(SpanKind kind, std::uint64_t cycle, std::uint32_t arg) {

@@ -187,7 +187,9 @@ public:
   std::uint64_t open(Phase phase, std::uint64_t cycle, Clock::time_point at = Clock::now());
   /// Closes the span `id` (innermost-first; out-of-order closes unwind the
   /// stack to the matching span, closing skipped spans at the same stamps).
-  void close(std::uint64_t id, std::uint64_t cycle, Clock::time_point at = Clock::now());
+  /// Returns the span's wall extent, end_wall_ms - begin_wall_ms (0 when `id`
+  /// is 0 or no longer open).
+  double close(std::uint64_t id, std::uint64_t cycle, Clock::time_point at = Clock::now());
   /// Records a zero-length mark (fault/recovery) under the innermost open
   /// span. Marks are never dropped.
   void mark(SpanKind kind, std::uint64_t cycle, std::uint32_t arg);

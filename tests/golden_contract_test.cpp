@@ -175,9 +175,12 @@ TEST(GoldenContract, MetricsStreamV1) {
 /// (so the tenants array has a row) on a never-started server (so every
 /// value is deterministic-by-construction; the shape ignores values, but a
 /// populated array pins its element shape where an empty one would not).
+/// Each test gets its own data directory, so ctest may run them at once.
 class ServeFixture {
 public:
-  ServeFixture() : dir_("golden_contract_serve") {
+  ServeFixture()
+      : dir_(std::string("golden_contract_serve_") +
+             ::testing::UnitTest::GetInstance()->current_test_info()->name()) {
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
     serve::Server::Options options;

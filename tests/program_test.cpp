@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "core/data_patterns.hpp"
@@ -149,6 +151,73 @@ TEST_F(ProgramTest, WideRegisterRoundTrip) {
   ASSERT_EQ(view.size(), image.size());
   EXPECT_EQ(view[0], 0x3C);
   EXPECT_TRUE(p.wide_register(0).empty());
+}
+
+// The row emitters' exact lowering on a 3-column row at the paper timings
+// (tRCD 12, tCCD 2, tRAS 20, tWR 10, tRTP 5, tRP 9): the first column waits
+// out tRCD, the others follow at tCCD, PRE waits for tRAS and the write or
+// read recovery, and the row then closes for tRP.
+TEST_F(ProgramTest, InitRowEmitsOneWritePerColumnAtMinimalSpacing) {
+  geometry_.columns_per_row = 3;
+  ProgramBuilder b(geometry_, timings_);
+  b.init_row(2, 7, 1);
+  EXPECT_EQ(disassemble(b.program()),
+            (std::vector<std::string>{"0: LDI r31, 7", "1: ACT b2, row=r31", "2: LDI r30, 0",
+                                      "3: SLEEP 9", "4: WR b2, col=r30, w1", "5: LDI r30, 1",
+                                      "6: WR b2, col=r30, w1", "7: LDI r30, 2",
+                                      "8: WR b2, col=r30, w1", "9: SLEEP 8", "10: PRE b2",
+                                      "11: SLEEP 7"}));
+  // ACT at 1, writes at 13/15/17, PRE at 27 = 17 + tWR, closed at 36.
+  EXPECT_EQ(b.virtual_cycles(), 36u);
+}
+
+TEST_F(ProgramTest, ReadRowEmitsOneReadPerColumnAndRecoversForTRtp) {
+  geometry_.columns_per_row = 3;
+  ProgramBuilder b(geometry_, timings_);
+  b.read_row(2, 7);
+  EXPECT_EQ(disassemble(b.program()),
+            (std::vector<std::string>{"0: LDI r31, 7", "1: ACT b2, row=r31", "2: LDI r30, 0",
+                                      "3: SLEEP 9", "4: RD b2, col=r30", "5: LDI r30, 1",
+                                      "6: RD b2, col=r30", "7: LDI r30, 2", "8: RD b2, col=r30",
+                                      "9: SLEEP 3", "10: PRE b2", "11: SLEEP 7"}));
+  // PRE at 22 = max(ACT + tRAS, 17 + tRTP), closed at 31.
+  EXPECT_EQ(b.virtual_cycles(), 31u);
+}
+
+TEST_F(ProgramTest, TouchRowIsOneActPreAtTRasAndTRc) {
+  ProgramBuilder b(geometry_, timings_);
+  b.touch_row(3, 9);
+  EXPECT_EQ(disassemble(b.program()),
+            (std::vector<std::string>{"0: LDI r31, 9", "1: ACT b3, row=r31", "2: SLEEP 18",
+                                      "3: PRE b3", "4: SLEEP 7"}));
+  // PRE at 21 = ACT + tRAS; the next ACT may issue at 30 = PRE + tRP.
+  EXPECT_EQ(b.virtual_cycles(), 30u);
+}
+
+TEST_F(ProgramTest, FullRowEmittersAtPaperGeometry) {
+  // 32 columns: 2 + 32 x (LDI, op) + 4 pads/PRE = 70 instructions each;
+  // the last column issues at 13 + 2 x 31 = 75.
+  ProgramBuilder init(geometry_, timings_);
+  init.init_row(0, 42, 0);
+  EXPECT_EQ(init.program().instructions().size(), 70u);
+  EXPECT_EQ(init.virtual_cycles(), 75u + timings_.tWR + timings_.tRP);
+  ProgramBuilder read(geometry_, timings_);
+  read.read_row(0, 42);
+  EXPECT_EQ(read.program().instructions().size(), 70u);
+  EXPECT_EQ(read.virtual_cycles(), 75u + timings_.tRTP + timings_.tRP);
+}
+
+TEST_F(ProgramTest, PaddingUsesANopForAOneCycleGap) {
+  // tRAS 2 leaves a one-cycle gap between the ACT and its PRE: a NOP, since
+  // a SLEEP costs at least two cycles.
+  timings_.tRAS = 2;
+  timings_.tRC = 3;
+  ProgramBuilder b(geometry_, timings_);
+  b.touch_row(0, 5);
+  EXPECT_EQ(disassemble(b.program()),
+            (std::vector<std::string>{"0: LDI r31, 5", "1: ACT b0, row=r31", "2: NOP",
+                                      "3: PRE b0", "4: SLEEP 7"}));
+  EXPECT_EQ(b.virtual_cycles(), 3u + timings_.tRP);
 }
 
 }  // namespace
