@@ -11,18 +11,28 @@
 // Everything else in the document (phase wall breakdown, records, commands)
 // is context for reading a regression, not a gate.
 //
+// One run lasts a fraction of a second, so a single sample wobbles with the
+// host. The spec runs kRepeats times; the document carries each axis's
+// median and its min/max spread, and the context of the median run.
+//
 // Flags: --seed, --stride (default 2048, the CI smoke sweep), --hammers,
 //        --tolerance, --jobs (default 2), --engine=fast|interp (default
 //        fast), --out=PATH (default BENCH_campaign.json).
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "core/spatial.hpp"
 #include "profiling/report.hpp"
 
 using namespace rh;
+
+namespace {
+constexpr int kRepeats = 5;
+}  // namespace
 
 int main(int argc, char** argv) {
   try {
@@ -54,23 +64,33 @@ int main(int argc, char** argv) {
     // measurement, so keep it off.
     telemetry::TelemetryConfig sink_config;
     sink_config.trace_enabled = false;
-    telemetry::Telemetry sink(sink_config);
-    campaign::Campaign campaign(run_config, &sink);
-    const campaign::CampaignResult result = campaign.run(spec);
-    const profiling::RunReport report =
-        campaign::build_report("perf_baseline", spec, campaign, result, &sink);
+    std::vector<profiling::RunReport> runs;
+    for (int r = 0; r < kRepeats; ++r) {
+      telemetry::Telemetry sink(sink_config);
+      campaign::Campaign campaign(run_config, &sink);
+      const campaign::CampaignResult result = campaign.run(spec);
+      runs.push_back(campaign::build_report("perf_baseline", spec, campaign, result, &sink));
+    }
 
     std::ofstream out(out_path);
     if (!out) throw common::ConfigError("cannot open baseline output file: " + out_path);
-    profiling::write_perf_baseline_json(out, report, stride);
+    profiling::write_perf_baseline_json(out, runs, stride);
 
-    std::cout << "commands/s:        " << common::fmt_double(report.commands_per_host_second(), 0)
-              << '\n'
+    // The same medians and spreads the document carries.
+    const auto summary = [&runs](double (profiling::RunReport::*axis)() const) {
+      std::vector<double> values;
+      for (const auto& run : runs) values.push_back((run.*axis)());
+      std::sort(values.begin(), values.end());
+      return common::fmt_double(values[values.size() / 2], 0) + "  (min " +
+             common::fmt_double(values.front(), 0) + ", max " +
+             common::fmt_double(values.back(), 0) + ")";
+    };
+    std::cout << "commands/s:        "
+              << summary(&profiling::RunReport::commands_per_host_second) << '\n'
               << "device cycles/s:   "
-              << common::fmt_double(report.device_cycles_per_host_second(), 0) << '\n'
-              << "elapsed:           " << common::fmt_double(report.elapsed_wall_ms * 1e-3, 2)
-              << " s on " << report.jobs << " workers\n"
-              << "(baseline written to " << out_path << ")\n";
+              << summary(&profiling::RunReport::device_cycles_per_host_second) << '\n'
+              << "(median of " << kRepeats << " runs on " << run_config.jobs
+              << " workers written to " << out_path << ")\n";
     return 0;
   } catch (const std::exception& e) {
     std::cerr << "perf_baseline: " << e.what() << '\n';

@@ -12,6 +12,11 @@ with tests/golden/bench/<bench>.csv. Every bench is deterministic in its
 seed, so any difference is a changed result: regenerate the goldens with
 --update only when the change is meant to move the numbers.
 
+The three campaign runs are repeated with --engine=interp against the same
+goldens. The fast engine senses rows through the cached fault kernel and the
+interpreter through the reference scan, so this pins cache == reference end
+to end. --update writes the goldens from the default engine only.
+
 Exit 0 when every CSV matches, 1 (with a unified diff per mismatch)
 otherwise.
 """
@@ -36,6 +41,9 @@ RUNS = [
     ("fig3_ber_distribution", ["--stride=2048"]),
     ("fig5_ber_across_rows", ["--stride=2048"]),
     ("fig6_bank_variation", ["--row-stride=50"]),
+    ("fig3_ber_distribution", ["--stride=2048", "--engine=interp"]),
+    ("fig5_ber_across_rows", ["--stride=2048", "--engine=interp"]),
+    ("fig6_bank_variation", ["--row-stride=50", "--engine=interp"]),
 ]
 
 
@@ -48,6 +56,8 @@ def main():
     failures = 0
     with tempfile.TemporaryDirectory() as scratch:
         for bench, flags in RUNS:
+            if args.update and "--engine=interp" in flags:
+                continue
             binary = (args.build_dir / "bench" / bench).resolve()
             csv = pathlib.Path(scratch) / f"{bench}.csv"
             run = subprocess.run([str(binary), *flags, f"--csv={csv}"], cwd=scratch,

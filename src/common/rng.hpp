@@ -70,6 +70,81 @@ namespace rh::common {
   return ((u0 + u1 + u2 + u3) * inv - 2.0) * sqrt3;
 }
 
+// --- The integer domain of the distribution helpers ----------------------
+//
+// approx_normal(h) adds four exact 16-bit lanes in double, so the sum S is
+// exact, S * 2^-16 - 2 is exact, and only the final multiply by sqrt(3)
+// rounds. It is therefore a function of the integer lane sum alone,
+// z_of_sum(lane_sum(h)), and strictly increasing in S (adjacent sums differ
+// by ~2.6e-5, far above one rounding). Every threshold test on z thus has
+// an exact integer twin: z <= t  <=>  S <= sum_at_most(t), and
+// z < t  <=>  S < sum_below(t). Likewise to_unit_double(h) < f  <=>
+// (h >> 11) < unit_below(f), because (h >> 11) * 2^-53 and f * 2^53 are
+// exact. The fault kernels compare integers only and never build a double
+// per cell.
+
+/// Largest lane sum: four lanes of 0xffff.
+inline constexpr std::int32_t kLaneSumMax = 4 * 0xffff;
+
+/// Exact sum of the four 16-bit lanes approx_normal() reads.
+[[nodiscard]] constexpr std::int32_t lane_sum(std::uint64_t h) noexcept {
+  return static_cast<std::int32_t>((h & 0xffffULL) + ((h >> 16) & 0xffffULL) +
+                                   ((h >> 32) & 0xffffULL) + (h >> 48));
+}
+
+/// approx_normal() as a function of the lane sum: the same operations on
+/// the same exact operands, so approx_normal(h) == z_of_sum(lane_sum(h)).
+[[nodiscard]] constexpr double z_of_sum(std::int32_t s) noexcept {
+  constexpr double inv = 1.0 / 65536.0;
+  constexpr double sqrt3 = 1.7320508075688772;
+  return (static_cast<double>(s) * inv - 2.0) * sqrt3;
+}
+
+/// The smallest approx_normal() value (all lanes zero): -2 * sqrt(3).
+inline constexpr double kZMin = z_of_sum(0);
+
+namespace detail {
+/// A lane sum near z_of_sum's inverse at t, clamped to [0, kLaneSumMax];
+/// callers correct it by exact comparisons, so its rounding is harmless.
+[[nodiscard]] constexpr std::int32_t sum_estimate(double t) noexcept {
+  const double s = (t / 1.7320508075688772 + 2.0) * 65536.0;
+  if (!(s > 0.0)) return 0;
+  if (s >= static_cast<double>(kLaneSumMax)) return kLaneSumMax;
+  return static_cast<std::int32_t>(s);
+}
+}  // namespace detail
+
+/// Largest lane sum S with z_of_sum(S) <= t, or -1 when there is none
+/// (t below kZMin, or NaN). So z_of_sum(S) <= t  <=>  S <= sum_at_most(t).
+[[nodiscard]] constexpr std::int32_t sum_at_most(double t) noexcept {
+  if (!(t >= z_of_sum(0))) return -1;
+  std::int32_t s = detail::sum_estimate(t);
+  while (s < kLaneSumMax && z_of_sum(s + 1) <= t) ++s;
+  while (z_of_sum(s) > t) --s;  // stops at 0 at the latest: z_of_sum(0) <= t
+  return s;
+}
+
+/// Number of lane sums S with z_of_sum(S) < t, in [0, kLaneSumMax + 1].
+/// So z_of_sum(S) < t  <=>  S < sum_below(t).
+[[nodiscard]] constexpr std::int32_t sum_below(double t) noexcept {
+  if (!(t > z_of_sum(0))) return 0;
+  std::int32_t s = detail::sum_estimate(t);
+  while (s < kLaneSumMax && z_of_sum(s + 1) < t) ++s;
+  while (z_of_sum(s) >= t) --s;  // stops at 0 at the latest: z_of_sum(0) < t
+  return s + 1;
+}
+
+/// Integer twin of a unit-double threshold: ceil(f * 2^53) clamped to
+/// [0, 2^53], so to_unit_double(h) < f  <=>  (h >> 11) < unit_below(f).
+[[nodiscard]] constexpr std::uint64_t unit_below(double f) noexcept {
+  constexpr double kScale = 0x1.0p53;
+  const double x = f * kScale;
+  if (!(x > 0.0)) return 0;
+  if (x >= kScale) return 1ULL << 53;
+  const auto m = static_cast<std::uint64_t>(x);
+  return static_cast<double>(m) < x ? m + 1 : m;
+}
+
 /// xoshiro256** sequential PRNG for host-side sampling decisions.
 /// Satisfies std::uniform_random_bit_generator.
 class Xoshiro256 {

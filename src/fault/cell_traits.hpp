@@ -14,11 +14,14 @@
 // (power-on) data are mutually independent.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <span>
 
 #include "common/rng.hpp"
 #include "fault/context.hpp"
+#include "fault/row_pass.hpp"
 
 namespace rh::fault {
 
@@ -37,16 +40,21 @@ enum class Stream : std::uint64_t {
   return common::splitmix64(master ^ static_cast<std::uint64_t>(s));
 }
 
-/// Per-cell hash for (bank, physical row, bit) under stream `s`.
-/// Derivation: chained combines over (stream seed, flat bank, row, bit) —
-/// exactly the chain the models' per-row hash cursors use, so a trait
-/// queried here matches what apply() used internally.
+/// Hash cursor of one (stream, bank, physical row): folds the stream seed,
+/// flat bank and row once, so cell i's hash is hash_combine(base, i).
+[[nodiscard]] inline std::uint64_t row_hash_base(std::uint64_t master, Stream s,
+                                                 const BankContext& b,
+                                                 std::uint32_t physical_row) {
+  return common::hash_combine(common::hash_combine(stream_seed(master, s), b.flat_bank),
+                              physical_row);
+}
+
+/// Per-cell hash for (bank, physical row, bit) under stream `s`: the same
+/// chain the models' row passes use, so a trait queried here matches what
+/// apply() used internally.
 [[nodiscard]] inline std::uint64_t cell_hash(std::uint64_t master, Stream s, const BankContext& b,
                                              std::uint32_t physical_row, std::uint32_t bit) {
-  return common::hash_combine(
-      common::hash_combine(common::hash_combine(stream_seed(master, s), b.flat_bank),
-                           physical_row),
-      bit);
+  return common::hash_combine(row_hash_base(master, s, b, physical_row), bit);
 }
 
 /// True if the cell is an anti cell (charged state stores logical 0).
@@ -72,10 +80,12 @@ enum class Stream : std::uint64_t {
 /// be unwritten.
 inline void fill_default_data(std::uint64_t master, const BankContext& b,
                               std::uint32_t physical_row, std::span<std::uint8_t> out) {
-  const std::uint64_t base = common::hash_combine(
-      common::hash_combine(stream_seed(master, Stream::kDefaultData), b.flat_bank), physical_row);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = static_cast<std::uint8_t>(common::hash_combine(base, i) & 0xffu);
+  const std::uint64_t base = row_hash_base(master, Stream::kDefaultData, b, physical_row);
+  std::uint8_t block[row_pass::kBlock];
+  for (std::size_t first = 0; first < out.size(); first += row_pass::kBlock) {
+    row_pass::block_bytes(base, first, block);
+    std::memcpy(out.data() + first, block,
+                std::min<std::size_t>(row_pass::kBlock, out.size() - first));
   }
 }
 

@@ -50,9 +50,14 @@ public:
 
 private:
   [[nodiscard]] double temp_scale(double temperature_c) const;
+  /// Retention time of a cell whose normal deviate is z, in seconds.
+  [[nodiscard]] double retention_of_z(double z, double temperature_c) const;
 
   FaultConfig cfg_;
   hbm::Geometry geometry_;
+  /// Integer orientation threshold: cell hash h is an anti cell iff
+  /// (h >> 11) < anti_below_.
+  std::uint64_t anti_below_;
 };
 
 }  // namespace rh::fault

@@ -2,119 +2,131 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <list>
 #include <unordered_map>
 #include <vector>
 
 #include "common/assert.hpp"
 #include "fault/cell_traits.hpp"
+#include "fault/row_pass.hpp"
 
 namespace rh::fault {
 
 namespace {
 
-/// Irwin-Hall(4) approximate normals are bounded: |z| <= 2 * sqrt(3).
-constexpr double kZMin = -3.4641016151377544;
+using common::kZMin;
+using row_pass::kBlock;
 
-/// Per-row hash cursor: folds (stream, bank, row) once, then derives each
-/// bit's hash with a single combine. Keeps the per-bit path at ~two
-/// SplitMix64 evaluations total (threshold z + orientation).
-struct RowHashBase {
-  std::uint64_t base;
+static_assert(RowHammerModel::kTierS == 93'234, "the cache tier is z <= -1");
+static_assert(RowHammerModel::kTierS < (1 << (32 - row_pass::kSlotSumShift)),
+              "a tail slot holds its lane sum");
 
-  RowHashBase(std::uint64_t master, Stream s, const BankContext& b, std::uint32_t row)
-      : base(common::hash_combine(
-            common::hash_combine(stream_seed(master, s), b.flat_bank), row)) {}
+/// Index of threshold class [charged][opposite-aggressor count k][intra-row
+/// damped][anti cell] in a flat 24-entry class table.
+constexpr std::size_t class_index(int charged, int k, int intra, int anti) {
+  return static_cast<std::size_t>(((charged * 3 + k) * 2 + intra) * 2 + anti);
+}
 
-  [[nodiscard]] std::uint64_t at(std::uint32_t bit) const {
-    return common::hash_combine(base, bit);
-  }
+/// A row's two hash cursors and the integer orientation threshold: all a
+/// slot collection needs.
+struct RowCells {
+  std::uint64_t z_base;      ///< RowHammer-threshold stream cursor
+  std::uint64_t o_base;      ///< orientation stream cursor
+  std::uint64_t anti_below;  ///< unit_below(anti_cell_fraction)
+  std::uint32_t bits;
 };
+
+/// Writes, in bit order, one slot (row_pass layout) for every cell whose
+/// lane sum is at most `s_bound`; returns the count. `slots` holds the
+/// row's bits rounded up to a block. `s_min` receives the smallest lane
+/// sum collected (unchanged when none is). The lane sums come from one
+/// block pass over the row; only the collected cells get an orientation
+/// hash.
+std::size_t collect_slots(const RowCells& row, std::int32_t s_bound, std::uint32_t* slots,
+                          std::int32_t& s_min) {
+  std::int32_t sums[kBlock];
+  std::size_t m = 0;
+  for (std::uint32_t first = 0; first < row.bits; first += kBlock) {
+    std::uint64_t hit = row_pass::block_sums(row.z_base, first, s_bound + 1, sums);
+    if (row.bits - first < kBlock) hit &= (1ULL << (row.bits - first)) - 1;
+    for (; hit != 0; hit &= hit - 1) {
+      const auto j = static_cast<std::uint32_t>(std::countr_zero(hit));
+      slots[m++] = (first + j) | (static_cast<std::uint32_t>(sums[j]) << row_pass::kSlotSumShift);
+      s_min = std::min(s_min, sums[j]);
+    }
+  }
+  const std::size_t padded = (m + kBlock - 1) / kBlock * kBlock;
+  std::fill(slots + m, slots + padded, 0u);
+  for (std::size_t s = 0; s < padded; s += kBlock) {
+    row_pass::block_mark_anti(row.o_base, row.anti_below, slots + s);
+  }
+  return m;
+}
 
 }  // namespace
 
-/// Fast-kernel memo: every cell's threshold z and orientation are pure
+/// Fast-kernel memo: every cell's lane sum and orientation are pure
 /// functions of (seed, flat bank, physical row, bit), so a row that settles
 /// repeatedly (every probe of a hammer bisection re-senses the same victim)
 /// can skip the 8192-bit rescan. Per row we keep only the *weak tail* —
-/// cells with z <= kTierZ, the only ones a batch taking the cached path can
-/// flip — in natural bit order with threshold and orientation per slot.
-/// apply() walks the tail filtering on the batch's most permissive
-/// threshold: bit order already matches the reference scan, so no sorting
-/// happens anywhere, at build time or per batch. A batch whose threshold
-/// exceeds kTierZ (extreme disturbance; absent from every bench workload)
-/// takes the reference scan instead, so the cache never needs the strong
-/// cells at all. Entries are evicted least-recently-used.
+/// cells with lane sum <= kTierS, the only ones a batch taking the cached
+/// path can flip — as one uint32 slot per cell in natural bit order
+/// (row_pass layout: bit index, anti flag, lane sum). apply() walks the
+/// tail filtering on the batch's most permissive lane-sum cut: bit order
+/// already matches the reference scan, so no sorting happens anywhere. A
+/// batch whose cut exceeds kTierS (extreme disturbance; absent from every
+/// bench workload) collects its candidates from a fresh row pass instead,
+/// so the cache never needs the strong cells at all. Entries are evicted
+/// least-recently-used in O(1).
 class RowFaultCache {
 public:
-  /// Weak-tail cut. A cached batch satisfies z_cap <= kTierZ, so every
-  /// flippable cell (z <= z_cap) is in the tail; batches above the tier
-  /// fall back to the reference scan. P(z <= -1) ~ 16% under the
-  /// Irwin-Hall(4) normal, so the tail carries ~1/6 of the row's bits.
-  static constexpr double kTierZ = -1.0;
-
   struct Entry {
-    std::vector<std::uint16_t> tail_bit;  ///< weak-tail bit indices, ascending
-    std::vector<double> tail_z;           ///< threshold z per tail slot
-    std::vector<std::uint8_t> tail_anti;  ///< orientation per tail slot
-    /// Weakest cell in the row; a batch with z_cap below it flips nothing.
-    double z_min = 0.0;
-    std::uint64_t last_use = 0;
+    std::vector<std::uint32_t> slots;  ///< weak-tail slots, ascending bit
+    /// Smallest lane sum in the tail; a batch whose cut is below it flips
+    /// nothing.
+    std::int32_t s_min = 0;
   };
 
-  const Entry& get(const FaultConfig& cfg, const hbm::Geometry& geometry, const BankContext& b,
-                   std::uint32_t physical_row) {
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(b.flat_bank) << 32) | physical_row;
-    auto it = entries_.find(key);
-    if (it == entries_.end()) {
-      if (entries_.size() >= kMaxEntries) evict_lru();
-      it = entries_.emplace(key, build(cfg, geometry, b, physical_row)).first;
+  /// The cached tail of `key`'s row, built from `row` on a miss through
+  /// `scratch` (one slot per row bit, rounded up to a block).
+  const Entry& get(std::uint64_t key, const RowCells& row, std::uint32_t* scratch) {
+    const auto it = index_.find(key);
+    if (it != index_.end()) {
+      lru_.splice(lru_.begin(), lru_, it->second);
+      return lru_.front().entry;
     }
-    it->second.last_use = ++tick_;
-    return it->second;
+    if (lru_.size() < kMaxEntries) {
+      lru_.emplace_front();
+    } else {
+      // Recycle the least-recently-used node, slot storage included.
+      index_.erase(lru_.back().key);
+      lru_.splice(lru_.begin(), lru_, std::prev(lru_.end()));
+    }
+    Node& node = lru_.front();
+    node.key = key;
+    node.entry.s_min = std::numeric_limits<std::int32_t>::max();
+    const std::size_t m = collect_slots(row, RowHammerModel::kTierS, scratch, node.entry.s_min);
+    node.entry.slots.assign(scratch, scratch + m);
+    index_.emplace(key, lru_.begin());
+    return node.entry;
   }
 
 private:
-  /// Weak-tail entries are ~15 KiB; 512 of them cover several shards'
-  /// working sets (victims, aggressors, blast-radius neighbours) without
-  /// LRU thrash — a fig4-style shard set touches ~140 distinct rows.
+  /// Tail entries are ~5 KiB (~1,300 four-byte slots); 512 of them cover
+  /// several shards' working sets (victims, aggressors, blast-radius
+  /// neighbours) without LRU thrash — a fig4-style shard set touches ~140
+  /// distinct rows.
   static constexpr std::size_t kMaxEntries = 512;
 
-  static Entry build(const FaultConfig& cfg, const hbm::Geometry& geometry, const BankContext& b,
-                     std::uint32_t physical_row) {
-    const RowHashBase z_hash(cfg.seed, Stream::kRowHammerZ, b, physical_row);
-    const RowHashBase orient_hash(cfg.seed, Stream::kOrientation, b, physical_row);
-    const auto bits = static_cast<std::uint32_t>(geometry.row_bytes() * 8);
-    Entry e;
-    e.z_min = 1e300;
-    e.tail_bit.reserve(bits / 4);
-    e.tail_z.reserve(bits / 4);
-    e.tail_anti.reserve(bits / 4);
-    // One pass in bit order; the orientation hash runs only for tail bits.
-    for (std::uint32_t bit = 0; bit < bits; ++bit) {
-      const double z = common::approx_normal(z_hash.at(bit));
-      e.z_min = std::min(e.z_min, z);
-      if (z <= kTierZ) {
-        e.tail_bit.push_back(static_cast<std::uint16_t>(bit));
-        e.tail_z.push_back(z);
-        e.tail_anti.push_back(
-            common::to_unit_double(orient_hash.at(bit)) < cfg.anti_cell_fraction ? 1 : 0);
-      }
-    }
-    return e;
-  }
-
-  void evict_lru() {
-    auto victim = entries_.begin();
-    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-      if (it->second.last_use < victim->second.last_use) victim = it;
-    }
-    entries_.erase(victim);
-  }
-
-  std::unordered_map<std::uint64_t, Entry> entries_;
-  std::uint64_t tick_ = 0;
+  struct Node {
+    std::uint64_t key = 0;
+    Entry entry;
+  };
+  std::list<Node> lru_;  ///< most recently used first
+  std::unordered_map<std::uint64_t, std::list<Node>::iterator> index_;
 };
 
 RowHammerModel::~RowHammerModel() = default;
@@ -133,7 +145,9 @@ RowHammerModel::RowHammerModel(const FaultConfig& cfg, const hbm::Geometry& geom
     : cfg_(cfg), geometry_(geometry), layout_(layout), variation_(&variation) {
   RH_EXPECTS(cfg_.hc0 > 0 && cfg_.sigma_cell > 0);
   RH_EXPECTS(layout_.total_rows() == geometry_.rows_per_bank);
+  RH_EXPECTS(geometry_.row_bits() <= row_pass::kMaxRowBits);
   ln_hc0_ = std::log(cfg_.hc0);
+  anti_below_ = common::unit_below(cfg_.anti_cell_fraction);
 
   // Coupling depends only on config, so its logarithm is hoisted here;
   // apply() adds it to ln(disturbance * vulnerability) per threshold class.
@@ -146,9 +160,7 @@ RowHammerModel::RowHammerModel(const FaultConfig& cfg, const hbm::Geometry& geom
                                 : cfg_.coupling_discharged;
           if (intra != 0) coupling *= cfg_.intra_row_opposite_factor;
           if (anti != 0) coupling *= cfg_.anti_cell_relative;
-          ln_coupling_[static_cast<std::size_t>(charged)][static_cast<std::size_t>(k)]
-                      [static_cast<std::size_t>(intra)][static_cast<std::size_t>(anti)] =
-                          std::log(coupling);
+          ln_coupling_[class_index(charged, k, intra, anti)] = std::log(coupling);
         }
       }
     }
@@ -195,145 +207,82 @@ std::size_t RowHammerModel::apply(const BankContext& b, std::uint32_t physical_r
   const double vuln = row_vulnerability(b, physical_row, temperature_c);
   const double ln_d = std::log(disturbance * vuln);
 
-  // z-threshold lookup, indexed by [charged][opposite-aggressor count k]
-  // [intra-row damped][anti cell]. A bit flips iff z(bit) <= table[...].
-  // The per-class log(coupling) is precomputed at construction, so the
-  // per-bit path — and this per-batch build — sees no logarithms beyond
-  // ln_d above.
-  std::array<std::array<std::array<std::array<double, 2>, 2>, 3>, 2> z_table{};
-  for (int charged = 0; charged < 2; ++charged) {
-    for (int k = 0; k < 3; ++k) {
-      for (int intra = 0; intra < 2; ++intra) {
-        for (int anti = 0; anti < 2; ++anti) {
-          z_table[static_cast<std::size_t>(charged)][static_cast<std::size_t>(k)]
-                 [static_cast<std::size_t>(intra)][static_cast<std::size_t>(anti)] =
-                     (ln_d +
-                      ln_coupling_[static_cast<std::size_t>(charged)][static_cast<std::size_t>(k)]
-                                  [static_cast<std::size_t>(intra)][static_cast<std::size_t>(anti)] -
-                      ln_hc0_) /
-                     cfg_.sigma_cell;
-        }
-      }
-    }
+  // Lane-sum cut per threshold class: a bit of class c flips iff its z <=
+  // z_c, i.e. iff its lane sum <= cut[c] (-1 when no cell can). The
+  // per-class log(coupling) is precomputed at construction, so this
+  // per-batch build sees no logarithms beyond ln_d above, and the per-bit
+  // path sees no doubles at all.
+  std::array<std::int32_t, 24> cut{};
+  for (std::size_t c = 0; c < cut.size(); ++c) {
+    cut[c] = common::sum_at_most((ln_d + ln_coupling_[c] - ln_hc0_) / cfg_.sigma_cell);
   }
   // Fast reject: even the weakest threshold class can't reach the strongest
-  // cell's z -> nothing flips.
-  if (z_table[1][2][0][0] < kZMin) return 0;
+  // cell -> nothing flips.
+  if (cut[class_index(1, 2, 0, 0)] < 0) return 0;
+  // The batch's most permissive cut: no cell above it can flip.
+  const std::int32_t s_cap = *std::max_element(cut.begin(), cut.end());
 
-  const std::size_t n = data.size();
-  std::size_t flips = 0;
-
-  // Decides bit j of byte i exactly as the reference scan: the byte's value
-  // pre-flip, aggressor bits from above/below, same-row neighbours with the
-  // cross-byte edges (prev byte post-flip, next byte pre-flip), orientation
-  // from `anti`. Returns true when the bit flips.
-  const auto bit_flips = [&](std::size_t i, std::uint32_t j, std::uint8_t v, std::uint8_t up,
-                             std::uint8_t dn, std::uint8_t prev_edge, std::uint8_t next_edge,
-                             int anti, double z) {
-    const int vb = (v >> j) & 1;
-    const int k = (((up >> j) & 1) != vb ? 1 : 0) + (((dn >> j) & 1) != vb ? 1 : 0);
-    const int left = j > 0 ? ((v >> (j - 1)) & 1) : (prev_edge == 0xff ? vb : prev_edge);
-    const int right = j < 7 ? ((v >> (j + 1)) & 1) : (next_edge == 0xff ? vb : next_edge);
-    const int intra = (left != vb && right != vb) ? 1 : 0;
-    const int charged = (vb == (anti != 0 ? 0 : 1)) ? 1 : 0;
-    const double zmax = z_table[static_cast<std::size_t>(charged)][static_cast<std::size_t>(k)]
-                               [static_cast<std::size_t>(intra)][static_cast<std::size_t>(anti)];
-    (void)i;
-    return zmax >= kZMin && z <= zmax;
-  };
-
-  if (cache_ != nullptr) {
-    double z_cap = kZMin;
-    for (int charged = 0; charged < 2; ++charged) {
-      for (int k = 0; k < 3; ++k) {
-        for (int intra = 0; intra < 2; ++intra) {
-          for (int anti = 0; anti < 2; ++anti) {
-            z_cap = std::max(z_cap, z_table[static_cast<std::size_t>(charged)]
-                                           [static_cast<std::size_t>(k)]
-                                           [static_cast<std::size_t>(intra)]
-                                           [static_cast<std::size_t>(anti)]);
-          }
-        }
-      }
-    }
-    if (z_cap <= RowFaultCache::kTierZ) {
-      // Fast kernel: only bits whose cached z clears the batch's most
-      // permissive threshold class can flip; everything else is untouched,
-      // so skipping it leaves bytes — and the cross-byte edges later bytes
-      // read — exactly as the reference scan would. z_cap is within the
-      // cached tier, so the weak tail holds every candidate, and it is
-      // already in the reference scan's bit order.
-      const RowFaultCache::Entry& entry = cache_->get(cfg_, geometry_, b, physical_row);
-      if (z_cap < entry.z_min) return 0;
-      const std::size_t m = entry.tail_bit.size();
-      for (std::size_t s = 0; s < m;) {
-        if (entry.tail_z[s] > z_cap) {
-          ++s;
-          continue;
-        }
-        const std::size_t i = static_cast<std::size_t>(entry.tail_bit[s]) >> 3;
-        const std::uint8_t v = data[i];
-        const std::uint8_t up = above.empty() ? v : above[i];
-        const std::uint8_t dn = below.empty() ? v : below[i];
-        const std::uint8_t prev_edge =
-            i > 0 ? static_cast<std::uint8_t>((data[i - 1] >> 7) & 1u) : std::uint8_t{0xff};
-        const std::uint8_t next_edge =
-            i + 1 < n ? static_cast<std::uint8_t>(data[i + 1] & 1u) : std::uint8_t{0xff};
-        std::uint8_t flipped = 0;
-        for (; s < m && (static_cast<std::size_t>(entry.tail_bit[s]) >> 3) == i; ++s) {
-          if (entry.tail_z[s] > z_cap) continue;
-          const std::uint32_t j = entry.tail_bit[s] & 7u;
-          if (bit_flips(i, j, v, up, dn, prev_edge, next_edge, entry.tail_anti[s],
-                        entry.tail_z[s])) {
-            flipped |= static_cast<std::uint8_t>(1u << j);
-            ++flips;
-          }
-        }
-        data[i] ^= flipped;
-      }
-      return flips;
-    }
-    // The batch's threshold class reaches above the cached tier: strong
-    // cells could flip too, so take the reference scan below.
+  const RowCells row{row_hash_base(cfg_.seed, Stream::kRowHammerZ, b, physical_row),
+                     row_hash_base(cfg_.seed, Stream::kOrientation, b, physical_row),
+                     anti_below_, geometry_.row_bits()};
+  std::uint32_t scratch[row_pass::kMaxRowBits];
+  std::span<const std::uint32_t> slots;
+  if (cache_ != nullptr && s_cap <= kTierS) {
+    // Fast kernel: the cut is within the cached tier, so the row's weak
+    // tail holds every candidate, already in the reference scan's bit order.
+    const std::uint64_t key = (static_cast<std::uint64_t>(b.flat_bank) << 32) | physical_row;
+    const RowFaultCache::Entry& entry = cache_->get(key, row, scratch);
+    if (s_cap < entry.s_min) return 0;
+    slots = entry.slots;
+  } else {
+    // Reference scan (and the cache's fallback past the tier): candidates
+    // straight from a row pass.
+    std::int32_t s_min = std::numeric_limits<std::int32_t>::max();
+    slots = std::span<const std::uint32_t>(scratch, collect_slots(row, s_cap, scratch, s_min));
   }
 
-  const RowHashBase z_hash(cfg_.seed, Stream::kRowHammerZ, b, physical_row);
-  const RowHashBase orient_hash(cfg_.seed, Stream::kOrientation, b, physical_row);
-
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint8_t v = data[i];
-    const std::uint8_t up = above.empty() ? v : above[i];
-    const std::uint8_t dn = below.empty() ? v : below[i];
-    // Same-row neighbour bits, including the cross-byte edges.
-    const std::uint8_t prev_edge =
-        i > 0 ? static_cast<std::uint8_t>((data[i - 1] >> 7) & 1u) : std::uint8_t{0xff};
-    const std::uint8_t next_edge =
-        i + 1 < n ? static_cast<std::uint8_t>(data[i + 1] & 1u) : std::uint8_t{0xff};
-
-    std::uint8_t flipped = 0;
-    for (std::uint32_t j = 0; j < 8; ++j) {
-      const std::uint32_t bit = static_cast<std::uint32_t>(i) * 8 + j;
-      const int vb = (v >> j) & 1;
-      const int k = (((up >> j) & 1) != vb ? 1 : 0) + (((dn >> j) & 1) != vb ? 1 : 0);
-
-      const int left = j > 0 ? ((v >> (j - 1)) & 1) : (prev_edge == 0xff ? vb : prev_edge);
-      const int right = j < 7 ? ((v >> (j + 1)) & 1) : (next_edge == 0xff ? vb : next_edge);
-      const int intra = (left != vb && right != vb) ? 1 : 0;
-
-      const std::uint64_t ho = orient_hash.at(bit);
-      const int anti = common::to_unit_double(ho) < cfg_.anti_cell_fraction ? 1 : 0;
-      const int charged = (vb == (anti != 0 ? 0 : 1)) ? 1 : 0;
-
-      const double zmax = z_table[static_cast<std::size_t>(charged)][static_cast<std::size_t>(k)]
-                                 [static_cast<std::size_t>(intra)][static_cast<std::size_t>(anti)];
-      if (zmax < kZMin) continue;
-      const double z = common::approx_normal(z_hash.at(bit));
-      if (z <= zmax) {
-        flipped |= static_cast<std::uint8_t>(1u << j);
+  // Only candidates (lane sum <= s_cap) can flip; every other bit is
+  // untouched, so skipping it leaves bytes — and the cross-byte edges later
+  // bytes read — exactly as a full scan would. Bit j of byte i is decided
+  // from the byte's value pre-flip, aggressor bits from above/below,
+  // same-row neighbours with the cross-byte edges (previous byte post-flip,
+  // next byte pre-flip; a missing edge counts as the bit itself), and the
+  // slot's orientation.
+  const std::uint64_t limit = (static_cast<std::uint64_t>(s_cap) + 1) << row_pass::kSlotSumShift;
+  const std::size_t n = data.size();
+  const std::size_t m = slots.size();
+  std::size_t flips = 0;
+  for (std::size_t s = 0; s < m;) {
+    if (slots[s] >= limit) {
+      ++s;
+      continue;
+    }
+    const std::size_t i = (slots[s] & row_pass::kSlotBitMask) >> 3;
+    const unsigned v = data[i];
+    // Per-bit masks of the byte: aggressor bits opposite to the victim bit,
+    // and bits whose left and right neighbours are both opposite.
+    const unsigned up_opposite = (above.empty() ? v : above[i]) ^ v;
+    const unsigned dn_opposite = (below.empty() ? v : below[i]) ^ v;
+    const unsigned left = (v << 1) | (i > 0 ? (data[i - 1] >> 7) & 1u : v & 1u);
+    const unsigned right = (v >> 1) | ((i + 1 < n ? data[i + 1] & 1u : (v >> 7) & 1u) << 7);
+    const unsigned intra_damped = (left ^ v) & (right ^ v);
+    unsigned flipped = 0;
+    for (; s < m && ((slots[s] & row_pass::kSlotBitMask) >> 3) == i; ++s) {
+      const std::uint32_t slot = slots[s];
+      if (slot >= limit) continue;
+      const std::uint32_t j = slot & 7u;
+      const int anti = (slot & row_pass::kSlotAnti) != 0 ? 1 : 0;
+      // A true cell is charged storing 1, an anti cell storing 0.
+      const int charged = static_cast<int>((v >> j) & 1u) ^ anti;
+      const int k = static_cast<int>(((up_opposite >> j) & 1u) + ((dn_opposite >> j) & 1u));
+      const int intra = static_cast<int>((intra_damped >> j) & 1u);
+      const auto sum = static_cast<std::int32_t>(slot >> row_pass::kSlotSumShift);
+      if (sum <= cut[class_index(charged, k, intra, anti)]) {
+        flipped |= 1u << j;
         ++flips;
       }
     }
-    data[i] ^= flipped;
+    data[i] ^= static_cast<std::uint8_t>(flipped);
   }
   return flips;
 }

@@ -5,8 +5,11 @@
 // addressed statelessly by hash. A victim bit flips when its accumulated
 // *effective* disturbance exceeds the threshold:
 //     D * coupling(bit) * position(row) * variation(bank,row) * temp >= T
-// evaluated in the log domain so the 8192-bit row scan needs one hash and a
-// compare per bit (no transcendental math on the per-bit path).
+// evaluated in the log domain, per batch, as one z cut per threshold class
+// (24 classes, below). Each cut then becomes an exact integer cut on the
+// cell hash's lane sum (common/rng.hpp), so the per-bit path is integer
+// only: a hash, a lane sum and a compare, run by the vectorized row pass
+// (fault/row_pass.hpp), with no double built per cell.
 //
 //   D          — weighted aggressor activation count accumulated by the bank
 //                (distance-1 weight 1.0, distance-2 weight ~0.015, RowPress
@@ -31,6 +34,7 @@
 #include <memory>
 #include <span>
 
+#include "common/rng.hpp"
 #include "fault/config.hpp"
 #include "fault/context.hpp"
 #include "fault/process_variation.hpp"
@@ -69,18 +73,25 @@ public:
   /// Temperature multiplier on vulnerability (mild; ablation A2).
   [[nodiscard]] double temperature_factor(double temperature_c) const;
 
-  /// Selects the fast kernel: per-(bank,row) cell thresholds (z, orientation)
-  /// are hashed once, sorted by threshold, and cached, so apply() evaluates
-  /// only the candidate bits whose z can possibly clear the batch's weakest
-  /// threshold class instead of rescanning all 8192 bits. Bit-for-bit
-  /// identical to the reference scan (the thresholds are the same hashes;
-  /// candidate selection is a conservative superset). Off by default — the
-  /// interp engine keeps the reference scan as ground truth.
+  /// Selects the fast kernel: each (bank, row)'s weak tail — the cells with
+  /// lane sum <= kTierS, one 4-byte slot each (bit index:13 | anti:1 | lane
+  /// sum:18, ~1,300 slots or ~5 KiB per row) — is collected once and cached,
+  /// so apply() walks only that tail instead of re-hashing all 8192 bits.
+  /// Bit-for-bit identical to the reference scan (the slots hold the same
+  /// hashes; candidate selection is a conservative superset). Off by
+  /// default — the interp engine keeps the reference scan as ground truth.
   void set_fast_kernel(bool enabled);
   [[nodiscard]] bool fast_kernel() const { return cache_ != nullptr; }
 
   [[nodiscard]] const FaultConfig& config() const { return cfg_; }
   [[nodiscard]] const hbm::SubarrayLayout& layout() const { return layout_; }
+
+  /// Weak-tail cut of the fast kernel. A batch whose most permissive cut
+  /// is within it (z <= kTierZ, i.e. lane sum <= kTierS) takes the cache;
+  /// P(z <= -1) ~ 16% under the Irwin-Hall(4) normal, so the tail carries
+  /// ~1/6 of a row's bits.
+  static constexpr double kTierZ = -1.0;
+  static constexpr std::int32_t kTierS = common::sum_at_most(kTierZ);
 
 private:
   FaultConfig cfg_;
@@ -90,9 +101,12 @@ private:
   double ln_hc0_ = 0.0;
   double global_min_disturbance_ = 0.0;
   /// log(coupling) per [charged][opposite-aggressor count][intra][anti]
-  /// threshold class. Pure config; hoisted out of apply() so the per-batch
-  /// z-table build is 24 adds instead of 24 logarithms.
-  std::array<std::array<std::array<std::array<double, 2>, 2>, 3>, 2> ln_coupling_{};
+  /// threshold class, flattened. Pure config; hoisted out of apply() so the
+  /// per-batch class table is 24 adds instead of 24 logarithms.
+  std::array<double, 24> ln_coupling_{};
+  /// Integer orientation threshold: cell hash h is an anti cell iff
+  /// (h >> 11) < anti_below_.
+  std::uint64_t anti_below_ = 0;
   /// Present iff the fast kernel is selected. mutable: the cache memoizes
   /// pure per-cell hashes, so filling it does not change observable state.
   mutable std::unique_ptr<RowFaultCache> cache_;

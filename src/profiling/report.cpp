@@ -6,6 +6,7 @@
 #include <ostream>
 
 #include "common/ascii_plot.hpp"
+#include "common/assert.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 
@@ -221,7 +222,29 @@ void write_report_json(std::ostream& os, const RunReport& report, bool include_w
   os << '}';
 }
 
-void write_perf_baseline_json(std::ostream& os, const RunReport& report, std::uint32_t stride) {
+void write_perf_baseline_json(std::ostream& os, std::span<const RunReport> runs,
+                              std::uint32_t stride) {
+  RH_EXPECTS(!runs.empty());
+  // Runs ordered by each tracked axis; the median run by commands/s
+  // supplies every context field.
+  const auto order_by = [&](double (RunReport::*axis)() const) {
+    std::vector<const RunReport*> order;
+    for (const RunReport& run : runs) order.push_back(&run);
+    std::sort(order.begin(), order.end(), [axis](const RunReport* a, const RunReport* b) {
+      return (a->*axis)() < (b->*axis)();
+    });
+    return order;
+  };
+  const auto by_commands = order_by(&RunReport::commands_per_host_second);
+  const auto by_cycles = order_by(&RunReport::device_cycles_per_host_second);
+  const std::size_t mid = runs.size() / 2;
+  const RunReport& report = *by_commands[mid];
+  const auto spread = [&os](const std::vector<const RunReport*>& order,
+                            double (RunReport::*axis)() const) {
+    os << "{\"max\":" << json_number((order.back()->*axis)())
+       << ",\"min\":" << json_number((order.front()->*axis)()) << '}';
+  };
+
   // Keys sorted; schema tagged so check_perf.py can refuse foreign files.
   os << "{\"bench\":\"campaign_fig4\"";
   os << ",\"bringup_device_cycles\":" << report.bringup_device_cycles();
@@ -229,15 +252,20 @@ void write_perf_baseline_json(std::ostream& os, const RunReport& report, std::ui
   os << ",\"commands_per_host_second\":" << json_number(report.commands_per_host_second());
   os << ",\"device_cycles\":" << report.device_cycles();
   os << ",\"device_cycles_per_host_second\":"
-     << json_number(report.device_cycles_per_host_second());
+     << json_number(by_cycles[mid]->device_cycles_per_host_second());
   os << ",\"elapsed_s\":" << json_number(report.elapsed_wall_ms * 1e-3);
   os << ",\"jobs\":" << report.jobs;
   os << ",\"phases\":";
   report.profile.write_json(os, true);
   os << ",\"records\":" << report.records;
+  os << ",\"repeats\":" << runs.size();
   os << ",\"schema\":\"rh-perf-baseline/v1\"";
   os << ",\"seed\":" << report.seed;
-  os << ",\"stride\":" << stride;
+  os << ",\"spread\":{\"commands_per_host_second\":";
+  spread(by_commands, &RunReport::commands_per_host_second);
+  os << ",\"device_cycles_per_host_second\":";
+  spread(by_cycles, &RunReport::device_cycles_per_host_second);
+  os << "},\"stride\":" << stride;
   os << "}\n";
 }
 

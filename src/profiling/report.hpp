@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -112,8 +113,13 @@ void write_report_json(std::ostream& os, const RunReport& report, bool include_w
 void render_report_text(std::ostream& os, const RunReport& report);
 
 /// Emits the rh-perf-baseline/v1 throughput document (keys sorted) that
-/// scripts/check_perf.py diffs against the committed baseline. Shared by
-/// bench/perf_baseline and the golden-contract schema test.
-void write_perf_baseline_json(std::ostream& os, const RunReport& report, std::uint32_t stride);
+/// scripts/check_perf.py diffs against the committed baseline, for `runs`
+/// repetitions of one spec. Each tracked axis is its median over the runs
+/// (the upper median for an even count), with its min and max under
+/// "spread" and the count under "repeats"; every other field comes from the
+/// run whose commands/s is the median. Shared by bench/perf_baseline and
+/// the golden-contract schema test.
+void write_perf_baseline_json(std::ostream& os, std::span<const RunReport> runs,
+                              std::uint32_t stride);
 
 }  // namespace rh::profiling

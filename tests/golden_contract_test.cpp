@@ -102,7 +102,8 @@ TEST(GoldenContract, MetricsSnapshotJson) {
 
 TEST(GoldenContract, PerfBaselineSchemaV1) {
   std::ostringstream os;
-  profiling::write_perf_baseline_json(os, canonical_report(), /*stride=*/2048);
+  const profiling::RunReport report = canonical_report();
+  profiling::write_perf_baseline_json(os, {&report, 1}, /*stride=*/2048);
   const auto diff = check_golden(golden("perf_baseline_v1.shape"),
                                  shape_text(os.str(), "rh-perf-baseline/v1"));
   EXPECT_FALSE(diff.has_value()) << *diff;

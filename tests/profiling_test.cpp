@@ -408,7 +408,7 @@ TEST(CampaignProfilingTest, ThroughputAxisExcludesRigBringUp) {
 
   // Both JSON documents carry the split.
   std::ostringstream perf_os;
-  profiling::write_perf_baseline_json(perf_os, report, 512);
+  profiling::write_perf_baseline_json(perf_os, {&report, 1}, 512);
   const campaign::JsonValue perf_doc = campaign::parse_json(perf_os.str(), "perf-baseline");
   EXPECT_EQ(perf_doc.at("device_cycles").as_u64(), shard_run);
   EXPECT_EQ(perf_doc.at("bringup_device_cycles").as_u64(), rig_build);
@@ -418,6 +418,41 @@ TEST(CampaignProfilingTest, ThroughputAxisExcludesRigBringUp) {
   const campaign::JsonValue report_doc = campaign::parse_json(report_os.str(), "report");
   EXPECT_EQ(report_doc.at("device_cycles").as_u64(), shard_run);
   EXPECT_EQ(report_doc.at("bringup_device_cycles").as_u64(), rig_build);
+}
+
+TEST(PerfBaselineTest, RepeatedRunsReportMediansAndSpread) {
+  // Five runs of one spec: commands/s and device cycles/s rank the runs
+  // differently, so each axis must take its own median.
+  const double elapsed_ms[] = {400.0, 100.0, 300.0, 200.0, 500.0};
+  const std::uint64_t cycles[] = {4000, 3000, 1000, 5000, 2000};
+  std::vector<profiling::RunReport> runs;
+  for (std::size_t i = 0; i < std::size(elapsed_ms); ++i) {
+    profiling::RunReport run;
+    run.jobs = 2;
+    run.records = 10 + i;
+    run.elapsed_wall_ms = elapsed_ms[i];
+    run.profile.record(Phase::kShardRun, cycles[i], 1.0, 1);
+    telemetry::MetricsRegistry registry;
+    registry.counter("cmd.act").add(1000);
+    run.metrics = registry.snapshot();
+    runs.push_back(run);
+  }
+  std::ostringstream os;
+  profiling::write_perf_baseline_json(os, runs, 2048);
+  const campaign::JsonValue doc = campaign::parse_json(os.str(), "perf-baseline");
+  // commands/s: 1000 per {0.4, 0.1, 0.3, 0.2, 0.5} s -> median 1000/0.3.
+  EXPECT_DOUBLE_EQ(doc.at("commands_per_host_second").as_double(), 1000.0 / 0.3);
+  EXPECT_EQ(doc.at("records").as_u64(), 12u);  // context of the median run
+  // device cycles/s: {10000, 30000, 3333, 25000, 4000} -> median 10000.
+  EXPECT_DOUBLE_EQ(doc.at("device_cycles_per_host_second").as_double(), 4000.0 / 0.4);
+  EXPECT_EQ(doc.at("repeats").as_u64(), 5u);
+  const campaign::JsonValue& spread = doc.at("spread");
+  EXPECT_DOUBLE_EQ(spread.at("commands_per_host_second").at("min").as_double(), 1000.0 / 0.5);
+  EXPECT_DOUBLE_EQ(spread.at("commands_per_host_second").at("max").as_double(), 1000.0 / 0.1);
+  EXPECT_DOUBLE_EQ(spread.at("device_cycles_per_host_second").at("min").as_double(),
+                   1000.0 / 0.3);
+  EXPECT_DOUBLE_EQ(spread.at("device_cycles_per_host_second").at("max").as_double(),
+                   3000.0 / 0.1);
 }
 
 // ------------------------------------------------------------ journal level

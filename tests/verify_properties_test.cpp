@@ -6,6 +6,9 @@
 //   - fast-engine-vs-interp campaign byte-identity (serial, sharded, and
 //     under a transport fault storm) plus hammer-loop boundary agreement
 //     and planted fast-path bug sensitivity,
+//   - fault kernels (cached and reference RowHammer scans, retention,
+//     power-on data) vs the legacy double-domain scans, plus a planted
+//     boundary mutant,
 //   - scramble and row-map round-trips,
 //   - on-die ECC read-path invariants.
 #include "verify/property.hpp"
@@ -14,12 +17,16 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <memory>
 #include <optional>
 #include <span>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "bender/host.hpp"
@@ -29,6 +36,9 @@
 #include "common/engine.hpp"
 #include "core/row_map.hpp"
 #include "core/spatial.hpp"
+#include "fault/cell_traits.hpp"
+#include "fault/retention_model.hpp"
+#include "fault/rowhammer_model.hpp"
 #include "hbm/device.hpp"
 #include "hbm/ecc.hpp"
 #include "hbm/scramble.hpp"
@@ -358,6 +368,465 @@ TEST(VerifyProperties, RowMapFromDeviceRoundTrips) {
                  return std::nullopt;
                }),
       /*seed=*/47, /*cases=*/200);
+}
+
+// --- Fault kernels vs the double-domain scans they replaced ---------------
+//
+// The oracle is a verbatim copy of the RowHammer reference scan, the
+// retention loop, the row-minimum retention search and the power-on fill as
+// they stood before the fault kernels moved to the integer domain: one
+// SplitMix64 hash per bit per stream and approx_normal() compared against
+// double thresholds. The kernels under test must match it flip for flip and
+// byte for byte, with the fast kernel on (cached weak tail, LRU) and off
+// (reference scan).
+namespace legacy {
+
+constexpr double kZMin = -3.4641016151377544;
+
+struct RowHashBase {
+  std::uint64_t base;
+
+  RowHashBase(std::uint64_t master, fault::Stream s, const fault::BankContext& b,
+              std::uint32_t row)
+      : base(common::hash_combine(
+            common::hash_combine(fault::stream_seed(master, s), b.flat_bank), row)) {}
+
+  [[nodiscard]] std::uint64_t at(std::uint32_t bit) const {
+    return common::hash_combine(base, bit);
+  }
+};
+
+using ClassTable = std::array<std::array<std::array<std::array<double, 2>, 2>, 3>, 2>;
+
+/// The batch's z threshold per [charged][k][intra][anti] class.
+ClassTable z_table(const fault::RowHammerModel& model, const fault::BankContext& b,
+                   std::uint32_t physical_row, double disturbance, double temperature_c) {
+  const fault::FaultConfig& cfg = model.config();
+  const double ln_d =
+      std::log(disturbance * model.row_vulnerability(b, physical_row, temperature_c));
+  ClassTable table{};
+  for (int charged = 0; charged < 2; ++charged) {
+    for (int k = 0; k < 3; ++k) {
+      for (int intra = 0; intra < 2; ++intra) {
+        for (int anti = 0; anti < 2; ++anti) {
+          double coupling = charged != 0 ? cfg.coupling_base + k * cfg.coupling_opposite_aggressor
+                                         : cfg.coupling_discharged;
+          if (intra != 0) coupling *= cfg.intra_row_opposite_factor;
+          if (anti != 0) coupling *= cfg.anti_cell_relative;
+          table[static_cast<std::size_t>(charged)][static_cast<std::size_t>(k)]
+               [static_cast<std::size_t>(intra)][static_cast<std::size_t>(anti)] =
+                   (ln_d + std::log(coupling) - std::log(cfg.hc0)) / cfg.sigma_cell;
+        }
+      }
+    }
+  }
+  return table;
+}
+
+/// The RowHammer reference scan. `strict` turns its `z <= zmax` into
+/// `z < zmax` (a planted boundary bug; see the mutant below).
+std::size_t rh_scan(const fault::RowHammerModel& model, const fault::BankContext& b,
+                    std::uint32_t physical_row, std::span<std::uint8_t> data,
+                    std::span<const std::uint8_t> above, std::span<const std::uint8_t> below,
+                    double disturbance, double temperature_c) {
+  if (disturbance <= 0.0) return 0;
+  const fault::FaultConfig& cfg_ = model.config();
+  const ClassTable z_table = legacy::z_table(model, b, physical_row, disturbance, temperature_c);
+  if (z_table[1][2][0][0] < kZMin) return 0;
+  const std::size_t n = data.size();
+  std::size_t flips = 0;
+  const RowHashBase z_hash(cfg_.seed, fault::Stream::kRowHammerZ, b, physical_row);
+  const RowHashBase orient_hash(cfg_.seed, fault::Stream::kOrientation, b, physical_row);
+
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint8_t v = data[i];
+    const std::uint8_t up = above.empty() ? v : above[i];
+    const std::uint8_t dn = below.empty() ? v : below[i];
+    // Same-row neighbour bits, including the cross-byte edges.
+    const std::uint8_t prev_edge =
+        i > 0 ? static_cast<std::uint8_t>((data[i - 1] >> 7) & 1u) : std::uint8_t{0xff};
+    const std::uint8_t next_edge =
+        i + 1 < n ? static_cast<std::uint8_t>(data[i + 1] & 1u) : std::uint8_t{0xff};
+
+    std::uint8_t flipped = 0;
+    for (std::uint32_t j = 0; j < 8; ++j) {
+      const std::uint32_t bit = static_cast<std::uint32_t>(i) * 8 + j;
+      const int vb = (v >> j) & 1;
+      const int k = (((up >> j) & 1) != vb ? 1 : 0) + (((dn >> j) & 1) != vb ? 1 : 0);
+
+      const int left = j > 0 ? ((v >> (j - 1)) & 1) : (prev_edge == 0xff ? vb : prev_edge);
+      const int right = j < 7 ? ((v >> (j + 1)) & 1) : (next_edge == 0xff ? vb : next_edge);
+      const int intra = (left != vb && right != vb) ? 1 : 0;
+
+      const std::uint64_t ho = orient_hash.at(bit);
+      const int anti = common::to_unit_double(ho) < cfg_.anti_cell_fraction ? 1 : 0;
+      const int charged = (vb == (anti != 0 ? 0 : 1)) ? 1 : 0;
+
+      const double zmax = z_table[static_cast<std::size_t>(charged)][static_cast<std::size_t>(k)]
+                                 [static_cast<std::size_t>(intra)][static_cast<std::size_t>(anti)];
+      if (zmax < kZMin) continue;
+      const double z = common::approx_normal(z_hash.at(bit));
+      if (z <= zmax) {
+        flipped |= static_cast<std::uint8_t>(1u << j);
+        ++flips;
+      }
+    }
+    data[i] ^= flipped;
+  }
+  return flips;
+}
+
+double temp_scale(const fault::FaultConfig& cfg, double temperature_c) {
+  return std::exp2((cfg.retention_ref_temp_c - temperature_c) / cfg.retention_temp_step_c);
+}
+
+double global_min_retention_s(const fault::FaultConfig& cfg, double temperature_c) {
+  return cfg.retention_median_s * std::exp(cfg.retention_sigma * kZMin) *
+         temp_scale(cfg, temperature_c);
+}
+
+std::size_t retention_apply(const fault::FaultConfig& cfg_, const fault::BankContext& b,
+                            std::uint32_t physical_row, std::span<std::uint8_t> data,
+                            double elapsed_s, double temperature_c) {
+  if (elapsed_s <= 0.0) return 0;
+  if (elapsed_s < global_min_retention_s(cfg_, temperature_c)) return 0;
+
+  // A charged cell decays iff elapsed > t(cell), i.e. z_ret(cell) < z_max.
+  const double z_max =
+      std::log(elapsed_s / (cfg_.retention_median_s * temp_scale(cfg_, temperature_c))) /
+      cfg_.retention_sigma;
+  if (z_max < kZMin) return 0;
+
+  const std::uint64_t z_base = common::hash_combine(
+      common::hash_combine(fault::stream_seed(cfg_.seed, fault::Stream::kRetentionZ), b.flat_bank),
+      physical_row);
+  const std::uint64_t o_base = common::hash_combine(
+      common::hash_combine(fault::stream_seed(cfg_.seed, fault::Stream::kOrientation),
+                           b.flat_bank),
+      physical_row);
+
+  std::size_t flips = 0;
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    std::uint8_t flipped = 0;
+    for (std::uint32_t j = 0; j < 8; ++j) {
+      const std::uint32_t bit = static_cast<std::uint32_t>(i) * 8 + j;
+      const int vb = (data[i] >> j) & 1;
+      const int anti =
+          common::to_unit_double(common::hash_combine(o_base, bit)) < cfg_.anti_cell_fraction ? 1
+                                                                                              : 0;
+      const int charged = (vb == (anti != 0 ? 0 : 1)) ? 1 : 0;
+      if (charged == 0) continue;
+      const double z = common::approx_normal(common::hash_combine(z_base, bit));
+      if (z < z_max) {
+        flipped |= static_cast<std::uint8_t>(1u << j);
+        ++flips;
+      }
+    }
+    data[i] ^= flipped;
+  }
+  return flips;
+}
+
+double cell_retention_s(const fault::FaultConfig& cfg_, const fault::BankContext& b,
+                        std::uint32_t physical_row, std::uint32_t bit, double temperature_c) {
+  const std::uint64_t h =
+      fault::cell_hash(cfg_.seed, fault::Stream::kRetentionZ, b, physical_row, bit);
+  return cfg_.retention_median_s * std::exp(cfg_.retention_sigma * common::approx_normal(h)) *
+         temp_scale(cfg_, temperature_c);
+}
+
+double row_min_retention_s(const fault::FaultConfig& cfg, std::uint32_t bits,
+                           const fault::BankContext& b, std::uint32_t physical_row,
+                           double temperature_c) {
+  double best = cell_retention_s(cfg, b, physical_row, 0, temperature_c);
+  for (std::uint32_t bit = 1; bit < bits; ++bit) {
+    best = std::min(best, cell_retention_s(cfg, b, physical_row, bit, temperature_c));
+  }
+  return best;
+}
+
+void fill_default_data(std::uint64_t master, const fault::BankContext& b,
+                       std::uint32_t physical_row, std::span<std::uint8_t> out) {
+  const std::uint64_t base = common::hash_combine(
+      common::hash_combine(fault::stream_seed(master, fault::Stream::kDefaultData), b.flat_bank),
+      physical_row);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = static_cast<std::uint8_t>(common::hash_combine(base, i) & 0xffu);
+  }
+}
+
+}  // namespace legacy
+
+/// An integer-domain RowHammer scan with one planted boundary bug: it flips
+/// a cell when its lane sum is *below* the class cut, where the kernels
+/// flip at or below it. The property must convict it.
+std::size_t strict_cut_mutant(const fault::RowHammerModel& model, const fault::BankContext& b,
+                              std::uint32_t physical_row, std::span<std::uint8_t> data,
+                              std::span<const std::uint8_t> above,
+                              std::span<const std::uint8_t> below, double disturbance,
+                              double temperature_c) {
+  if (disturbance <= 0.0) return 0;
+  const fault::FaultConfig& cfg = model.config();
+  const legacy::ClassTable z = legacy::z_table(model, b, physical_row, disturbance, temperature_c);
+  if (z[1][2][0][0] < legacy::kZMin) return 0;
+  const std::uint64_t z_base = fault::row_hash_base(cfg.seed, fault::Stream::kRowHammerZ, b,
+                                                    physical_row);
+  const std::uint64_t o_base = fault::row_hash_base(cfg.seed, fault::Stream::kOrientation, b,
+                                                    physical_row);
+  const std::uint64_t anti_below = common::unit_below(cfg.anti_cell_fraction);
+  const std::size_t n = data.size();
+  std::size_t flips = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint8_t v = data[i];
+    const std::uint8_t up = above.empty() ? v : above[i];
+    const std::uint8_t dn = below.empty() ? v : below[i];
+    const int prev_edge = i > 0 ? (data[i - 1] >> 7) & 1 : -1;
+    const int next_edge = i + 1 < n ? data[i + 1] & 1 : -1;
+    std::uint8_t flipped = 0;
+    for (std::uint32_t j = 0; j < 8; ++j) {
+      const std::uint64_t bit = i * 8 + j;
+      const int vb = (v >> j) & 1;
+      const int k = (((up >> j) & 1) != vb ? 1 : 0) + (((dn >> j) & 1) != vb ? 1 : 0);
+      const int left = j > 0 ? (v >> (j - 1)) & 1 : (prev_edge < 0 ? vb : prev_edge);
+      const int right = j < 7 ? (v >> (j + 1)) & 1 : (next_edge < 0 ? vb : next_edge);
+      const int intra = (left != vb && right != vb) ? 1 : 0;
+      const int anti = (common::hash_combine(o_base, bit) >> 11) < anti_below ? 1 : 0;
+      const int charged = (vb == (anti != 0 ? 0 : 1)) ? 1 : 0;
+      const std::int32_t cut = common::sum_at_most(
+          z[static_cast<std::size_t>(charged)][static_cast<std::size_t>(k)]
+           [static_cast<std::size_t>(intra)][static_cast<std::size_t>(anti)]);
+      if (common::lane_sum(common::hash_combine(z_base, bit)) < cut) {  // the kernels use <=
+        flipped |= static_cast<std::uint8_t>(1u << j);
+        ++flips;
+      }
+    }
+    data[i] ^= flipped;
+  }
+  return flips;
+}
+
+/// One chip's fault models: the fast kernel on and off, and retention.
+struct KernelRig {
+  explicit KernelRig(std::uint64_t seed)
+      : cfg([seed] {
+          fault::FaultConfig c;
+          c.seed = seed;
+          return c;
+        }()),
+        layout(hbm::SubarrayLayout::paper_layout(geometry.rows_per_bank)),
+        variation(cfg, geometry),
+        fast(cfg, geometry, layout, variation),
+        reference(cfg, geometry, layout, variation),
+        retention(cfg, geometry) {
+    fast.set_fast_kernel(true);
+  }
+
+  fault::FaultConfig cfg;
+  hbm::Geometry geometry = hbm::paper_geometry();
+  hbm::SubarrayLayout layout;
+  fault::ProcessVariation variation;
+  fault::RowHammerModel fast;
+  fault::RowHammerModel reference;
+  fault::RetentionModel retention;
+  /// (bank, row) pairs sensed so far; revisited to hit, and after more
+  /// than 512 distinct rows to rebuild, cached entries.
+  std::vector<std::pair<hbm::BankAddress, std::uint32_t>> history;
+};
+
+using RhKernel = std::function<std::size_t(
+    const fault::RowHammerModel&, const fault::BankContext&, std::uint32_t,
+    std::span<std::uint8_t>, std::span<const std::uint8_t>, std::span<const std::uint8_t>,
+    double, double)>;
+
+std::vector<std::uint8_t> random_image(common::Xoshiro256& rng, std::size_t bytes) {
+  static constexpr std::uint8_t kFills[] = {0x00, 0xff, 0x55, 0xaa, 0x33};
+  std::vector<std::uint8_t> image(bytes);
+  const std::uint64_t kind = rng.below(std::size(kFills) + 2);
+  for (auto& byte : image) {
+    byte = kind < std::size(kFills) ? kFills[kind]
+                                    : static_cast<std::uint8_t>(rng.below(kind == 5 ? 256 : 2) *
+                                                                (kind == 5 ? 1 : 0xff));
+  }
+  return image;
+}
+
+double log_uniform(common::Xoshiro256& rng, double lo, double hi) {
+  return std::exp(std::log(lo) + rng.uniform() * (std::log(hi) - std::log(lo)));
+}
+
+std::string where(const char* what, const hbm::BankAddress& a, std::uint32_t row, double x) {
+  std::ostringstream out;
+  out << what << " ch" << a.channel << " pc" << a.pseudo_channel << " bank" << a.bank << " row "
+      << row << " at " << x;
+  return out.str();
+}
+
+/// One fuzzed case: RowHammer settles of one row under `kernel` (and under
+/// the reference scan), retention decay, the row's minimum retention and
+/// its power-on image, each against the legacy oracle.
+std::optional<std::string> kernel_case(common::Xoshiro256& rng, KernelRig& rig,
+                                       const RhKernel& kernel) {
+  const hbm::Geometry& g = rig.geometry;
+  hbm::BankAddress address{static_cast<std::uint32_t>(rng.below(g.channels)),
+                           static_cast<std::uint32_t>(rng.below(g.pseudo_channels_per_channel)),
+                           static_cast<std::uint32_t>(rng.below(g.banks_per_pseudo_channel))};
+  std::uint32_t row = static_cast<std::uint32_t>(rng.below(g.rows_per_bank));
+  if (!rig.history.empty() && rng.below(4) == 0) {
+    std::tie(address, row) = rig.history[rng.below(rig.history.size())];
+  } else {
+    rig.history.emplace_back(address, row);
+  }
+  const auto b = fault::BankContext::from(g, address);
+  const std::size_t bytes = g.row_bytes();
+  const double temperature_c = 45.0 + 50.0 * rng.uniform();
+
+  // RowHammer: 1-3 settles of the same images with growing disturbance,
+  // from below the global bound to past the cached tier.
+  std::vector<std::uint8_t> oracle = random_image(rng, bytes);
+  std::vector<std::uint8_t> cached = oracle;
+  std::vector<std::uint8_t> scanned = oracle;
+  // An empty neighbour is the bank (or subarray) edge.
+  const std::vector<std::uint8_t> above =
+      rng.below(5) == 0 ? std::vector<std::uint8_t>{} : random_image(rng, bytes);
+  const std::vector<std::uint8_t> below =
+      rng.below(5) == 0 ? std::vector<std::uint8_t>{} : random_image(rng, bytes);
+  double disturbance = log_uniform(rng, 0.5 * rig.fast.global_min_disturbance(), 4e7);
+  const std::uint64_t settles = 1 + rng.below(3);
+  for (std::uint64_t s = 0; s < settles; ++s) {
+    const std::size_t want =
+        legacy::rh_scan(rig.fast, b, row, oracle, above, below, disturbance, temperature_c);
+    const std::size_t got =
+        kernel(rig.fast, b, row, cached, above, below, disturbance, temperature_c);
+    const std::size_t ref = rig.reference.apply(b, row, scanned, above, below, disturbance,
+                                                temperature_c);
+    if (got != want || cached != oracle) {
+      return where("rowhammer (fast kernel)", address, row, disturbance) + ": " +
+             std::to_string(got) + " flips vs legacy " + std::to_string(want);
+    }
+    if (ref != want || scanned != oracle) {
+      return where("rowhammer (reference scan)", address, row, disturbance) + ": " +
+             std::to_string(ref) + " flips vs legacy " + std::to_string(want);
+    }
+    disturbance *= 1.0 + 3.0 * rng.uniform();
+  }
+
+  // Retention: two decays of one image, from below the global minimum
+  // retention to several seconds.
+  std::vector<std::uint8_t> decayed = random_image(rng, bytes);
+  std::vector<std::uint8_t> decayed_oracle = decayed;
+  double elapsed_s =
+      log_uniform(rng, 0.5 * rig.retention.global_min_retention_s(temperature_c), 5.0);
+  for (int step = 0; step < 2; ++step) {
+    const std::size_t want =
+        legacy::retention_apply(rig.cfg, b, row, decayed_oracle, elapsed_s, temperature_c);
+    const std::size_t got = rig.retention.apply(b, row, decayed, elapsed_s, temperature_c);
+    if (got != want || decayed != decayed_oracle) {
+      return where("retention", address, row, elapsed_s) + ": " + std::to_string(got) +
+             " flips vs legacy " + std::to_string(want);
+    }
+    elapsed_s *= 1.0 + rng.uniform();
+  }
+
+  if (rng.below(8) == 0) {
+    const double want = legacy::row_min_retention_s(rig.cfg, g.row_bits(), b, row, temperature_c);
+    const double got = rig.retention.row_min_retention_s(b, row, temperature_c);
+    if (got != want) return where("row_min_retention_s", address, row, temperature_c);
+  }
+
+  // Power-on data, including a span that is not a whole number of blocks.
+  const std::size_t fill_bytes = rng.below(2) == 0 ? bytes : 1 + rng.below(200);
+  std::vector<std::uint8_t> filled(fill_bytes), filled_oracle(fill_bytes);
+  fault::fill_default_data(rig.cfg.seed, b, row, filled);
+  legacy::fill_default_data(rig.cfg.seed, b, row, filled_oracle);
+  if (filled != filled_oracle) return where("fill_default_data", address, row, 0.0);
+  return std::nullopt;
+}
+
+Property fault_kernel_property(std::vector<std::unique_ptr<KernelRig>>& rigs, RhKernel kernel) {
+  return Property("fault kernels == legacy double-domain scans",
+                  [&rigs, kernel](common::Xoshiro256& rng) {
+                    return kernel_case(rng, *rigs[rng.below(rigs.size())], kernel);
+                  });
+}
+
+std::vector<std::unique_ptr<KernelRig>> kernel_rigs() {
+  std::vector<std::unique_ptr<KernelRig>> rigs;
+  for (const std::uint64_t seed : {0x5AFA2123ULL, 0x5AFA2124ULL}) {
+    rigs.push_back(std::make_unique<KernelRig>(seed));
+  }
+  return rigs;
+}
+
+TEST(VerifyProperties, FaultKernelsMatchTheLegacyDoubleDomainScans) {
+  auto rigs = kernel_rigs();
+  const RhKernel model_apply = [](const fault::RowHammerModel& model, const fault::BankContext& b,
+                                  std::uint32_t row, std::span<std::uint8_t> data,
+                                  std::span<const std::uint8_t> above,
+                                  std::span<const std::uint8_t> below, double disturbance,
+                                  double temperature_c) {
+    return model.apply(b, row, data, above, below, disturbance, temperature_c);
+  };
+  // ~675 new rows per rig: past the cache's 512 entries, so revisits also
+  // rebuild evicted rows.
+  expect_passes(fault_kernel_property(rigs, model_apply), /*seed=*/71, /*cases=*/1800);
+  for (const auto& rig : rigs) EXPECT_GT(rig->history.size(), 600u);
+}
+
+TEST(VerifyProperties, FaultKernelPropertyConvictsAStrictCutMutant) {
+  auto rigs = kernel_rigs();
+  const PropertyOutcome outcome =
+      fault_kernel_property(rigs, strict_cut_mutant).run(/*seed=*/71, /*cases=*/1800);
+  EXPECT_FALSE(outcome.passed) << "a `<` where the kernels use `<=` went unnoticed";
+}
+
+TEST(VerifyProperties, FaultKernelsFlipTheWeakestCellAtAnExactCut) {
+  // Random disturbances almost never put a batch's cut exactly on a row's
+  // weakest cell, so pin that boundary directly: Rowstripe0 (victim 0x00,
+  // aggressors 0xff) makes an anti cell's class the most permissive one,
+  // and the disturbance below sets that class's cut to the row's smallest
+  // lane sum. The cell must flip, cold and warm, as it does in the legacy
+  // scan.
+  KernelRig rig(0x5AFA2123ULL);
+  const hbm::Geometry& g = rig.geometry;
+  const fault::FaultConfig& cfg = rig.cfg;
+  const auto b = fault::BankContext::from(g, hbm::BankAddress{3, 1, 7});
+  const std::vector<std::uint8_t> aggressor(g.row_bytes(), 0xff);
+  int rows_checked = 0;
+  for (std::uint32_t row = 200; row < 260; ++row) {
+    std::int32_t s_min = common::kLaneSumMax + 1;
+    std::uint32_t weakest = 0;
+    for (std::uint32_t bit = 0; bit < g.row_bits(); ++bit) {
+      const std::int32_t sum =
+          common::lane_sum(fault::cell_hash(cfg.seed, fault::Stream::kRowHammerZ, b, row, bit));
+      if (sum < s_min) {
+        s_min = sum;
+        weakest = bit;
+      }
+    }
+    if (!fault::is_anti_cell(cfg.seed, b, row, weakest, cfg.anti_cell_fraction)) continue;
+    // Midway between the weakest z and the next lane sum's z.
+    const double z = 0.5 * (common::z_of_sum(s_min) + common::z_of_sum(s_min + 1));
+    const double coupling = (cfg.coupling_base + 2 * cfg.coupling_opposite_aggressor) *
+                            cfg.anti_cell_relative;
+    const double disturbance =
+        std::exp(z * cfg.sigma_cell + std::log(cfg.hc0) - std::log(coupling)) /
+        rig.fast.row_vulnerability(b, row, 85.0);
+    const legacy::ClassTable table = legacy::z_table(rig.fast, b, row, disturbance, 85.0);
+    ASSERT_EQ(common::sum_at_most(table[1][2][0][1]), s_min) << "row " << row;
+    if (table[1][2][0][0] < legacy::kZMin) continue;  // the batch is rejected outright
+    std::vector<std::uint8_t> oracle(g.row_bytes(), 0x00);
+    const std::size_t want =
+        legacy::rh_scan(rig.fast, b, row, oracle, aggressor, aggressor, disturbance, 85.0);
+    ASSERT_GE(want, 1u) << "row " << row;
+    for (const fault::RowHammerModel* model : {&rig.fast, &rig.fast, &rig.reference}) {
+      std::vector<std::uint8_t> data(g.row_bytes(), 0x00);
+      EXPECT_EQ(model->apply(b, row, data, aggressor, aggressor, disturbance, 85.0), want)
+          << "row " << row;
+      EXPECT_EQ(data, oracle) << "row " << row;
+    }
+    ++rows_checked;
+  }
+  EXPECT_GE(rows_checked, 10);
 }
 
 TEST(VerifyProperties, EccCorrectsExactlyTheSingleErrorWords) {
