@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <ostream>
 
-#include "campaign/record_io.hpp"
+#include "campaign/journal.hpp"
+#include "campaign/tail.hpp"
 #include "common/error.hpp"
 #include "resilience/storage.hpp"
 
@@ -23,163 +23,36 @@ bool ends_with(const std::string& text, std::string_view suffix) {
          text.compare(text.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
-std::string read_all(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw ConfigError("cannot open file: " + path);
-  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+/// Classifies a journal or stream with the reader's own parse functions.
+JsonlScan scan_typed(const std::string& path, const std::string& content, FsckFileType type) {
+  if (type == FsckFileType::kJournal) {
+    return scan_jsonl(
+        content, path, [](const JsonValue& doc) { (void)parse_journal_header(doc); },
+        [](const JsonValue& doc) {
+          std::vector<core::RowRecord> records;
+          (void)parse_shard_line(doc, records);
+        });
+  }
+  MetricsStreamData sink;
+  return scan_jsonl(
+      content, path, [](const JsonValue& doc) { (void)parse_stream_header(doc); },
+      [&sink](const JsonValue& doc) { apply_stream_sample(doc, sink); });
 }
 
-// --- payload validators (throw ConfigError; mirror the readers) ----------
-
-/// Field checks matter for their throws alone; the values are discarded.
-template <typename T>
-void require(const T& /*value*/) {}
-
-void validate_journal_header(const JsonValue& doc) {
-  const JsonValue* kind = doc.find("kind");
-  if (kind == nullptr || kind->text != "rh-campaign-journal") {
-    throw ConfigError("not a campaign journal header");
-  }
-  const std::uint64_t version = doc.at("version").as_u64();
-  if (version != 1 && version != 2) {
-    throw ConfigError("unsupported journal version " + std::to_string(version));
-  }
-  require(doc.at("seed").as_u64());
-  require(doc.at("config_hash"));
-  require(doc.at("shards").as_u64());
-}
-
-void validate_journal_record(const JsonValue& doc) {
-  require(doc.at("shard").as_u64());
-  if (const JsonValue* failed = doc.find("failed"); failed != nullptr) {
-    if (failed->kind != JsonValue::Kind::kString) {
-      throw ConfigError("journal failure line: \"failed\" is not a string");
-    }
-  } else {
-    for (const JsonValue& r : doc.at("records").items) require(parse_row_record(r));
-  }
-}
-
-void validate_stream_header(const JsonValue& doc) {
-  const JsonValue* kind = doc.find("kind");
-  if (kind == nullptr || kind->text != "rh-metrics-stream") {
-    throw ConfigError("not a metrics stream header");
-  }
-  require(doc.at("version").as_u64());
-  require(doc.at("seed").as_u64());
-  require(doc.at("config_hash"));
-  require(doc.at("shards").as_u64());
-  require(doc.at("jobs").as_u64());
-  require(doc.at("cycle_cadence").as_u64());
-  require(doc.at("wall_cadence_ms").as_double());
-}
-
-void validate_stream_record(const JsonValue& doc) {
-  const std::string& sample = doc.at("sample").text;
-  if (sample == "cycles") {
-    require(doc.at("shard").as_u64());
-    require(doc.at("attempt").as_u64());
-    require(doc.at("seq").as_u64());
-    require(doc.at("cycle").as_u64());
-    require(doc.at("deltas"));
-  } else if (sample == "wall") {
-    require(doc.at("t_ms").as_double());
-    require(doc.at("counters"));
-    for (const JsonValue& w : doc.at("workers").items) {
-      require(w.at("busy_ms").as_double());
-      require(w.at("done").as_u64());
-      require(w.at("shard"));
-    }
-  } else if (sample == "final") {
-    require(doc.at("t_ms").as_double());
-    require(doc.at("counters"));
-    const JsonValue& shards = doc.at("shards");
-    require(shards.at("done").as_u64());
-    require(shards.at("failed").as_u64());
-    require(shards.at("skipped").as_u64());
-    require(shards.at("total").as_u64());
-  } else {
-    throw ConfigError("unknown sample kind '" + sample + "'");
-  }
-}
-
-using Validator = void (*)(const JsonValue&);
-
-/// Full classification of one JSONL file, raw lines retained for repair.
-struct JsonlScan {
-  FsckVerdict verdict;
-  std::string raw_header;
-  std::vector<std::string> raw_intact;   ///< record lines, in file order
-  std::vector<std::string> corrupt_raw;  ///< parallel to verdict.issues
-};
-
-/// One line's classification attempt: CRC check, parse, validate.
-bool classify_line(const std::string& line, const std::string& path, std::size_t line_no,
-                   Validator validate, std::string& reason) {
-  std::string_view body;
-  if (resilience::check_frame(line, body) == resilience::FrameCheck::kMismatch) {
-    reason = "CRC mismatch";
-    return false;
-  }
-  try {
-    const JsonValue doc = parse_json(std::string(body), path + ":" + std::to_string(line_no));
-    validate(doc);
-  } catch (const ConfigError& e) {
-    reason = e.what();
-    return false;
-  }
-  return true;
-}
-
-/// The readers' damage taxonomy over one JSONL file: a damaged header is
-/// fatal (unrepairable), a damaged final line is a torn tail, a damaged
-/// mid-file line is corruption (quarantinable).
-JsonlScan scan_jsonl(const std::string& path, const std::string& content,
-                     FsckFileType type, Validator validate_header, Validator validate_record) {
-  JsonlScan scan;
-  FsckVerdict& v = scan.verdict;
+/// The verdict on a scanned journal or stream: a damaged header is fatal
+/// (unrepairable), corrupt lines and a torn tail are what a resume repairs.
+FsckVerdict jsonl_verdict(const std::string& path, FsckFileType type, const JsonlScan& scan) {
+  FsckVerdict v;
   v.path = path;
   v.type = type;
-
-  const SplitLines split = split_lines(content);
-  std::string reason;
-  if (split.lines.empty() ||
-      !classify_line(split.lines[0], path, 1, validate_header, reason)) {
+  v.intact_lines = scan.intact.size();
+  v.intact_bytes = scan.intact_bytes;
+  v.torn_tail = scan.torn_tail;
+  for (const CorruptLine& line : scan.corrupt) v.issues.push_back({line.line_no, line.reason});
+  if (!scan.header_error.empty()) {
     v.status = FsckStatus::kCorrupt;
-    v.repairable = false;
-    v.detail = split.lines.empty() ? "empty file (no header)"
-                                   : "damaged header — nothing below it can be trusted";
-    if (!split.lines.empty()) v.issues.push_back({1, reason});
-    return scan;
-  }
-  scan.raw_header = split.lines[0];
-  v.intact_bytes = split.lines[0].size() + 1;
-
-  bool damaged = false;
-  for (std::size_t i = 1; i < split.lines.size(); ++i) {
-    const std::string& line = split.lines[i];
-    const bool tail = i + 1 == split.lines.size();
-    if (line.empty()) {
-      if (!damaged) v.intact_bytes += 1;
-      continue;
-    }
-    if (classify_line(line, path, i + 1, validate_record, reason)) {
-      ++v.intact_lines;
-      scan.raw_intact.push_back(line);
-      if (!damaged) v.intact_bytes += line.size() + 1;
-      continue;
-    }
-    if (tail) {
-      v.torn_tail = true;
-      break;
-    }
-    v.issues.push_back({i + 1, reason});
-    scan.corrupt_raw.push_back(line);
-    damaged = true;
-  }
-  v.intact_bytes = std::min<std::uint64_t>(v.intact_bytes, content.size());
-
-  if (!v.issues.empty()) {
+    v.detail = "damaged header (" + scan.header_error + ") — nothing below it can be trusted";
+  } else if (!v.issues.empty()) {
     v.status = FsckStatus::kCorrupt;
     v.repairable = true;
     v.detail = std::to_string(v.issues.size()) + " corrupt mid-file line(s)";
@@ -189,19 +62,7 @@ JsonlScan scan_jsonl(const std::string& path, const std::string& content,
     v.detail = "torn trailing line (intact prefix: " + std::to_string(v.intact_bytes) +
                " bytes)";
   }
-  return scan;
-}
-
-bool is_descriptor_name(const std::string& name) {
-  // Exactly job-<digits>.json: the descriptor, not its report siblings.
-  if (name.rfind("job-", 0) != 0) return false;
-  const std::string::size_type dot = name.find('.');
-  if (dot == std::string::npos || name.substr(dot) != ".json") return false;
-  if (dot == 4) return false;
-  for (std::string::size_type i = 4; i < dot; ++i) {
-    if (std::isdigit(static_cast<unsigned char>(name[i])) == 0) return false;
-  }
-  return true;
+  return v;
 }
 
 bool valid_job_state(const std::string& text) {
@@ -216,7 +77,7 @@ FsckVerdict fsck_json(const std::string& path, const std::string& name,
                       const std::string& content) {
   FsckVerdict v;
   v.path = path;
-  v.type = is_descriptor_name(name)
+  v.type = job_descriptor_id(name)
                ? FsckFileType::kDescriptor
                : (name.find(".report.") != std::string::npos ? FsckFileType::kReport
                                                              : FsckFileType::kOther);
@@ -226,8 +87,8 @@ FsckVerdict fsck_json(const std::string& path, const std::string& name,
     const std::string tag = schema != nullptr ? schema->text : "";
     if (tag == "rh-serve-job/v1") {
       v.type = FsckFileType::kDescriptor;
-      require(doc.at("id").as_u64());
-      require(doc.at("config"));
+      (void)doc.at("id").as_u64();
+      (void)doc.at("config");
       if (!valid_job_state(doc.at("state").text)) {
         throw ConfigError("unknown job state \"" + doc.at("state").text + "\"");
       }
@@ -247,33 +108,22 @@ FsckVerdict fsck_json(const std::string& path, const std::string& name,
   return v;
 }
 
-JsonlScan scan_jsonl_typed(const std::string& path, const std::string& content,
-                           FsckFileType type) {
-  return type == FsckFileType::kJournal
-             ? scan_jsonl(path, content, type, validate_journal_header,
-                          validate_journal_record)
-             : scan_jsonl(path, content, type, validate_stream_header,
-                          validate_stream_record);
-}
-
 /// Identifies a JSONL file's family: by header kind when the header is
 /// intact, by conventional name (.journal. / .stream. / a bare campaign
 /// checkpoint) when it is not.
 FsckFileType jsonl_type(const std::string& name, const std::string& content) {
-  const SplitLines split = split_lines(content);
-  if (!split.lines.empty()) {
-    std::string_view body;
-    if (resilience::check_frame(split.lines[0], body) != resilience::FrameCheck::kMismatch) {
-      try {
-        const JsonValue doc = parse_json(std::string(body), name);
-        if (const JsonValue* kind = doc.find("kind"); kind != nullptr) {
-          if (kind->text == "rh-campaign-journal") return FsckFileType::kJournal;
-          if (kind->text == "rh-metrics-stream") return FsckFileType::kStream;
-          return FsckFileType::kOther;
-        }
-      } catch (const ConfigError&) {
-        // Damaged header: fall through to the filename.
+  std::string_view body;
+  const std::string_view header = std::string_view(content).substr(0, content.find('\n'));
+  if (resilience::check_frame(header, body) != resilience::FrameCheck::kMismatch) {
+    try {
+      const JsonValue doc = parse_json(body, name);
+      if (const JsonValue* kind = doc.find("kind"); kind != nullptr) {
+        if (kind->text == "rh-campaign-journal") return FsckFileType::kJournal;
+        if (kind->text == "rh-metrics-stream") return FsckFileType::kStream;
+        return FsckFileType::kOther;
       }
+    } catch (const ConfigError&) {
+      // Damaged header: fall through to the filename.
     }
   }
   if (name.find(".journal.") != std::string::npos) return FsckFileType::kJournal;
@@ -285,6 +135,18 @@ FsckFileType jsonl_type(const std::string& name, const std::string& content) {
 }
 
 }  // namespace
+
+std::optional<std::uint64_t> job_descriptor_id(const std::string& name) {
+  const std::string::size_type dot = name.find('.');
+  if (name.rfind("job-", 0) != 0 || dot == std::string::npos || dot == 4 ||
+      name.compare(dot, std::string::npos, ".json") != 0) {
+    return std::nullopt;
+  }
+  for (std::string::size_type i = 4; i < dot; ++i) {
+    if (std::isdigit(static_cast<unsigned char>(name[i])) == 0) return std::nullopt;
+  }
+  return std::strtoull(name.c_str() + 4, nullptr, 10);
+}
 
 const char* to_string(FsckStatus status) {
   switch (status) {
@@ -327,14 +189,14 @@ FsckVerdict fsck_file(const std::string& path) {
     return v;
   }
 
-  const std::string content = read_all(path);
+  const std::string content = read_whole_file(path, "file");
   if (ends_with(name, ".jsonl")) {
     const FsckFileType type = jsonl_type(name, content);
     if (type == FsckFileType::kOther) {
       v.detail = "unrecognized jsonl (not validated)";
       return v;
     }
-    return scan_jsonl_typed(path, content, type).verdict;
+    return jsonl_verdict(path, type, scan_typed(path, content, type));
   }
   if (ends_with(name, ".json")) {
     return fsck_json(path, name, content);
@@ -375,36 +237,22 @@ std::string fsck_repair(const FsckVerdict& verdict) {
       }
       return "removed orphaned tmp";
     }
-    case FsckStatus::kTorn: {
-      std::error_code ec;
-      std::filesystem::resize_file(verdict.path, verdict.intact_bytes, ec);
-      if (ec) throw ConfigError("cannot truncate torn tail: " + verdict.path);
-      return "truncated torn tail to " + std::to_string(verdict.intact_bytes) + " bytes";
-    }
+    case FsckStatus::kTorn:
     case FsckStatus::kCorrupt: {
-      // Re-scan for the raw lines (verdicts carry only the diagnosis):
-      // quarantine the damaged lines verbatim, then compact — exactly the
-      // repair a quarantining resume performs.
-      const JsonlScan scan = scan_jsonl_typed(verdict.path, read_all(verdict.path),
-                                              verdict.type);
-      if (!scan.verdict.repairable) {
+      // Re-scan for the raw lines (verdicts carry only the diagnosis), then
+      // apply exactly the repair a resume performs.
+      const JsonlScan scan =
+          scan_typed(verdict.path, read_whole_file(verdict.path, "file"), verdict.type);
+      if (!scan.header_error.empty()) {
         throw ConfigError("unrepairable: " + verdict.path + " (changed since scan)");
       }
-      const std::string qpath = verdict.path + ".quarantine";
-      std::ofstream quarantine(qpath, std::ios::app | std::ios::binary);
-      if (!quarantine) throw ConfigError("cannot open quarantine file: " + qpath);
-      for (const std::string& line : scan.corrupt_raw) quarantine << line << '\n';
-      quarantine.flush();
-      if (!quarantine) throw ConfigError("cannot write quarantine file: " + qpath);
-      std::string compacted = scan.raw_header + '\n';
-      for (const std::string& line : scan.raw_intact) {
-        compacted += line;
-        compacted += '\n';
+      quarantine_and_compact(verdict.path, scan, "repaired file");
+      if (scan.corrupt.empty()) {
+        return "truncated torn tail to " + std::to_string(scan.intact_bytes) + " bytes";
       }
-      resilience::write_file_atomic(verdict.path, compacted, "repaired file");
-      std::string note = "quarantined " + std::to_string(scan.corrupt_raw.size()) +
-                         " corrupt line(s) to " + qpath;
-      if (scan.verdict.torn_tail) note += " and dropped the torn tail";
+      std::string note = "quarantined " + std::to_string(scan.corrupt.size()) +
+                         " corrupt line(s) to " + verdict.path + ".quarantine";
+      if (scan.torn_tail) note += " and dropped the torn tail";
       return note;
     }
     case FsckStatus::kOk: break;

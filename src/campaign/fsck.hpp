@@ -6,10 +6,14 @@
 // JSONL, CRC-framed since v2), job descriptors and run reports (whole-file
 // JSON, atomically replaced), plus two kinds of residue — orphaned `.tmp`
 // files from a kill between write and rename, and `.quarantine` sidecars
-// from past repairs. fsck classifies every file with exactly the readers'
-// damage taxonomy (ok / torn tail / corrupt / orphaned tmp) and can apply
-// the same repairs resume would: truncate a torn tail, quarantine corrupt
-// mid-file lines and compact, delete an orphaned tmp. Whole-file JSON
+// from past repairs. fsck classifies a journal or stream with the one JSONL
+// scanner the readers use (scan_jsonl in record_io.hpp), handing it the
+// readers' own parse functions, so its verdict (ok / torn tail / corrupt)
+// is what JournalReader or read_metrics_stream sees: the final line is the
+// torn tail when it fails to parse or lacks its newline, any other rejected
+// line is corrupt. It can apply the repair a resume applies
+// (quarantine_and_compact: truncate a torn tail, or quarantine corrupt
+// mid-file lines and compact) and delete an orphaned tmp. Whole-file JSON
 // documents have no line structure to salvage, so a corrupt descriptor or
 // report — like a corrupt JSONL header — is reported as unrepairable: the
 // operator decides (the data may still be recoverable from the journal).
@@ -17,6 +21,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -42,7 +47,7 @@ enum class FsckFileType : std::uint8_t {
 [[nodiscard]] const char* to_string(FsckStatus status);
 [[nodiscard]] const char* to_string(FsckFileType type);
 
-/// One damaged line (kCorrupt verdicts on JSONL files).
+/// One corrupt mid-file line (kCorrupt verdicts on JSONL files).
 struct FsckIssue {
   std::size_t line_no = 0;  ///< 1-based position in the file
   std::string reason;       ///< "CRC mismatch", parse error text, ...
@@ -54,12 +59,17 @@ struct FsckVerdict {
   FsckFileType type = FsckFileType::kOther;
   FsckStatus status = FsckStatus::kOk;
   bool repairable = false;     ///< fsck_repair() can restore integrity
-  std::uint64_t intact_lines = 0;  ///< JSONL record lines that validated
+  std::uint64_t intact_lines = 0;  ///< JSONL record lines the reader accepts
   std::uint64_t intact_bytes = 0;  ///< undamaged prefix (truncation point)
-  bool torn_tail = false;      ///< trailing line damaged (also set on kCorrupt)
-  std::vector<FsckIssue> issues;   ///< mid-file damage, in file order
+  bool torn_tail = false;      ///< final line torn (also set on kCorrupt)
+  std::vector<FsckIssue> issues;   ///< corrupt lines in file order (JSON: the parse error)
   std::string detail;          ///< one-line elaboration for the report
 };
+
+/// The job id of a serve job descriptor's file name — exactly
+/// job-<digits>.json, not the report/journal/stream siblings that share
+/// the prefix — or nullopt.
+[[nodiscard]] std::optional<std::uint64_t> job_descriptor_id(const std::string& name);
 
 /// Classifies one file. Never throws on damage (damage IS the verdict);
 /// throws common::ConfigError only when the file cannot be read at all.

@@ -27,13 +27,14 @@
 //
 // Durability and damage tolerance: the header is fsync'd before any work
 // starts and every shard line is flushed+fsync'd when appended — a kill can
-// lose at most the shard in flight. The reader classifies each line as
-// ok / torn-tail / corrupt instead of throwing: a torn trailing line is
-// ignored (the expected residue of a kill mid-append), and a corrupt
-// mid-file line (bit rot, a torn line fused with its successor) is
-// quarantined — recorded, skipped, and its shard re-run on resume — rather
-// than aborting the whole journal. Only a damaged header is fatal: nothing
-// below it can be trusted to belong to this sweep.
+// lose at most the shard in flight. The reader classifies each line with
+// scan_jsonl (record_io.hpp) instead of throwing: the final line is a torn
+// tail, ignored, when it fails to parse or lacks its newline (the residue
+// of a kill mid-append), and a corrupt mid-file line (bit rot, a torn line
+// fused with its successor) is quarantined — recorded, skipped, and its
+// shard re-run on resume — rather than aborting the whole journal. Only a
+// damaged header is fatal: nothing below it can be trusted to belong to
+// this sweep.
 #pragma once
 
 #include <cstdint>
@@ -43,6 +44,7 @@
 #include <string>
 #include <vector>
 
+#include "campaign/record_io.hpp"
 #include "core/characterizer.hpp"
 #include "resilience/storage.hpp"
 
@@ -70,14 +72,12 @@ public:
   JournalWriter(const std::string& path, const JournalHeader& header,
                 resilience::StorageFaultInjector* injector = nullptr);
   /// Reopens an existing journal for appending (resume) from a fully
-  /// classified read. Tail-only damage truncates the file to
-  /// reader.intact_bytes(), so a torn trailing line from a kill never ends
-  /// up *preceding* appended lines. Mid-file corrupt lines are appended
-  /// verbatim to `path`.quarantine and the journal is compacted — header
-  /// plus every intact line rewritten atomically — before reopening for
-  /// append. The quarantined shards are absent from reader.shards(), so
-  /// resume re-runs exactly them. The caller is responsible for having
-  /// validated the header.
+  /// classified read: quarantine_and_compact() first truncates a torn tail
+  /// (so it never ends up *preceding* appended lines) or, when mid-file
+  /// lines are corrupt, moves them to `path`.quarantine and compacts. The
+  /// quarantined shards are absent from reader.shards(), so resume re-runs
+  /// exactly them. The caller is responsible for having validated the
+  /// header.
   JournalWriter(const std::string& path, const JournalReader& reader,
                 resilience::StorageFaultInjector* injector = nullptr);
   ~JournalWriter();
@@ -113,19 +113,21 @@ struct ShardOutcome {
   std::string error;         ///< failure lines only
 };
 
-/// One damaged (non-tail) journal line: quarantine fodder.
-struct CorruptLine {
-  std::size_t line_no = 0;  ///< 1-based position in the file
-  std::string reason;       ///< "CRC mismatch", parse error text, ...
-  std::string raw;          ///< the line exactly as it sits on disk
-};
+/// Parses a journal header line's payload. Throws common::ConfigError on a
+/// foreign kind, an unsupported version or a missing field.
+[[nodiscard]] JournalHeader parse_journal_header(const JsonValue& doc);
 
-/// Loads a journal: header plus every intact shard line, with per-line
-/// damage classification. A torn final line (kill mid-write) is ignored; a
-/// corrupt mid-file line is recorded in corrupt_lines() and skipped — its
-/// shard simply stays pending. Only an unreadable header throws
-/// (common::ConfigError): a journal whose identity line is damaged cannot
-/// be trusted at all.
+/// Parses one shard line's payload (a completion or a failure); a
+/// completion's records go to `records`. Throws common::ConfigError.
+[[nodiscard]] ShardOutcome parse_shard_line(const JsonValue& doc,
+                                            std::vector<core::RowRecord>& records);
+
+/// Loads a journal: header plus every intact shard line, classified by
+/// scan_jsonl with parse_journal_header / parse_shard_line. A torn final
+/// line is ignored; a corrupt mid-file line is recorded in corrupt_lines()
+/// and skipped — its shard simply stays pending. Only a damaged header
+/// throws (common::ConfigError): a journal whose identity line is damaged
+/// cannot be trusted at all.
 class JournalReader {
 public:
   explicit JournalReader(const std::string& path);
@@ -138,37 +140,24 @@ public:
   /// Every intact shard line (completions and failures), in file order.
   [[nodiscard]] const std::vector<ShardOutcome>& outcomes() const { return outcomes_; }
 
+  /// The line classification, raw lines included (for compaction).
+  [[nodiscard]] const JsonlScan& scan() const { return scan_; }
   /// Mid-file lines that failed their CRC or did not parse, in file order.
-  [[nodiscard]] const std::vector<CorruptLine>& corrupt_lines() const { return corrupt_lines_; }
+  [[nodiscard]] const std::vector<CorruptLine>& corrupt_lines() const { return scan_.corrupt; }
   /// True when the final line was torn (ignored, not corruption).
-  [[nodiscard]] bool torn_tail() const { return torn_tail_; }
-
-  /// The header line exactly as it sits on disk (for compaction).
-  [[nodiscard]] const std::string& raw_header() const { return raw_header_; }
-  /// Every intact record line exactly as on disk, in file order (for
-  /// compaction; excludes the header, corrupt lines, and the torn tail).
-  [[nodiscard]] const std::vector<std::string>& raw_lines() const { return raw_lines_; }
+  [[nodiscard]] bool torn_tail() const { return scan_.torn_tail; }
+  /// Byte length of the journal's undamaged prefix (JsonlScan::intact_bytes).
+  [[nodiscard]] std::uint64_t intact_bytes() const { return scan_.intact_bytes; }
 
   /// Throws common::ConfigError naming the mismatched field if the journal
   /// was written for a different sweep than `expected`.
   void require_matches(const JournalHeader& expected) const;
 
-  /// Byte length of the journal's undamaged prefix: the header plus every
-  /// intact line up to the first corrupt line or the torn tail. When
-  /// corrupt_lines() is empty a resume truncates the file to this length
-  /// before appending; otherwise the quarantining JournalWriter ctor
-  /// compacts instead.
-  [[nodiscard]] std::uint64_t intact_bytes() const { return intact_bytes_; }
-
 private:
   JournalHeader header_;
   std::map<std::uint64_t, std::vector<core::RowRecord>> shards_;
   std::vector<ShardOutcome> outcomes_;
-  std::vector<CorruptLine> corrupt_lines_;
-  std::vector<std::string> raw_lines_;
-  std::string raw_header_;
-  bool torn_tail_ = false;
-  std::uint64_t intact_bytes_ = 0;
+  JsonlScan scan_;
 };
 
 /// Renders a human summary of a journal (shards done/failed/retried,

@@ -1,10 +1,15 @@
 #include "campaign/record_io.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 
 #include "common/error.hpp"
+#include "resilience/storage.hpp"
 
 namespace rh::campaign {
 
@@ -209,20 +214,97 @@ JsonValue parse_json(std::string_view text, const std::string& what) {
   return v;
 }
 
-SplitLines split_lines(const std::string& content) {
-  SplitLines out;
-  std::size_t start = 0;
-  while (start < content.size()) {
-    const std::size_t nl = content.find('\n', start);
-    if (nl == std::string::npos) {
-      out.lines.push_back(content.substr(start));
-      out.final_newline = false;
-      break;
-    }
-    out.lines.push_back(content.substr(start, nl - start));
+std::string read_whole_file(const std::string& path, const std::string& what) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw common::ConfigError("cannot open " + what + ": " + path);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+bool has_kind(const JsonValue& doc, std::string_view kind) {
+  const JsonValue* member = doc.find("kind");
+  return member != nullptr && member->text == kind;
+}
+
+JsonlScan scan_jsonl(const std::string& content, const std::string& what,
+                     const JsonlParse& parse_header, const JsonlParse& parse_record) {
+  JsonlScan scan;
+  std::vector<std::string> lines;
+  for (std::size_t start = 0; start < content.size();) {
+    const std::size_t nl = std::min(content.find('\n', start), content.size());
+    lines.push_back(content.substr(start, nl - start));
     start = nl + 1;
   }
-  return out;
+  const bool final_newline = !content.empty() && content.back() == '\n';
+  if (lines.empty()) {
+    scan.header_error = "empty file";
+    return scan;
+  }
+
+  // Why line i is not intact, or "" when it is.
+  const auto reject = [&](std::size_t i, const JsonlParse& parse) -> std::string {
+    if (i + 1 == lines.size() && !final_newline) return "no trailing newline";
+    std::string_view payload;
+    if (resilience::check_frame(lines[i], payload) == resilience::FrameCheck::kMismatch) {
+      return "CRC mismatch";
+    }
+    try {
+      parse(parse_json(payload, what + ":" + std::to_string(i + 1)));
+    } catch (const common::ConfigError& e) {
+      return e.what();
+    }
+    return "";
+  };
+
+  scan.raw_header = lines[0];
+  scan.header_error = reject(0, parse_header);
+  if (!scan.header_error.empty()) {
+    scan.torn_tail = lines.size() == 1;
+    return scan;
+  }
+  scan.intact_bytes = lines[0].size() + 1;
+  for (std::size_t i = 1; i < lines.size(); ++i) {
+    if (lines[i].empty()) {
+      if (scan.corrupt.empty()) scan.intact_bytes += 1;
+      continue;
+    }
+    std::string reason = reject(i, parse_record);
+    if (reason.empty()) {
+      if (scan.corrupt.empty()) scan.intact_bytes += lines[i].size() + 1;
+      scan.intact.push_back(std::move(lines[i]));
+    } else if (i + 1 == lines.size()) {
+      scan.torn_tail = true;
+    } else {
+      scan.corrupt.push_back({i + 1, std::move(reason), std::move(lines[i])});
+    }
+  }
+  return scan;
+}
+
+void quarantine_and_compact(const std::string& path, const JsonlScan& scan,
+                            const std::string& what,
+                            resilience::StorageFaultInjector* injector) {
+  if (scan.corrupt.empty()) {
+    // Only the tail can be damaged: cut it off, so that nothing appended
+    // later fuses onto it.
+    std::error_code ec;
+    std::filesystem::resize_file(path, scan.intact_bytes, ec);
+    if (ec) throw common::ConfigError("cannot truncate the torn tail of " + what + ": " + path);
+    return;
+  }
+  // The damaged lines move verbatim to a sidecar (nothing is silently
+  // discarded), then the file is rewritten as header + intact lines.
+  const std::string qpath = path + ".quarantine";
+  std::ofstream quarantine(qpath, std::ios::app | std::ios::binary);
+  if (!quarantine) throw common::ConfigError("cannot open quarantine file: " + qpath);
+  for (const CorruptLine& line : scan.corrupt) quarantine << line.raw << '\n';
+  quarantine.flush();
+  if (!quarantine) throw common::ConfigError("cannot write quarantine file: " + qpath);
+  std::string compacted = scan.raw_header + '\n';
+  for (const std::string& line : scan.intact) {
+    compacted += line;
+    compacted += '\n';
+  }
+  resilience::write_file_atomic(path, compacted, what, injector);
 }
 
 std::string format_double_exact(double v) {

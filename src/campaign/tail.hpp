@@ -3,10 +3,11 @@
 // A running campaign leaves two append-only JSONL files behind: the
 // checkpoint journal (journal.hpp — per-shard outcomes) and the metrics
 // stream (telemetry/stream.hpp — periodic counter samples and per-worker
-// status). This module reads both with the same torn-tail tolerance the
-// journal reader pioneered — a kill can tear at most the trailing line, and
-// a monitor must never crash on a file the campaign is mid-append on — and
-// joins them into one TailStatus: progress/ETA, per-worker utilization,
+// status). Both are classified by the one JSONL scanner (scan_jsonl in
+// record_io.hpp): a kill can tear at most the final line — torn when it
+// fails to parse or lacks its newline — and a monitor must never crash on a
+// file the campaign is mid-append on. This module joins them into one
+// TailStatus: progress/ETA, per-worker utilization,
 // shard outcome counts, fault/recovery rates, and a stall watchdog.
 //
 // The stall watchdog reasons from the last wall sample's in-flight shards:
@@ -24,13 +25,16 @@
 #include <string>
 #include <vector>
 
+#include "campaign/record_io.hpp"
+
 namespace rh::campaign {
 
 /// One parsed rh-metrics-stream file (v1 bare lines or v2 CRC-framed).
-/// `torn` means the trailing line was incomplete or unparsable (campaign
-/// mid-append or killed mid-write); a damaged *mid-file* line (CRC
-/// mismatch, unparsable, unknown sample kind) is counted in corrupt_lines
-/// and skipped — telemetry is advisory, so the monitor keeps going.
+/// `torn` means the final line failed to parse or lacks its newline
+/// (campaign mid-append or killed mid-write); a damaged *mid-file* line
+/// (CRC mismatch, unparsable, unknown sample kind) is counted in
+/// corrupt_lines and skipped — telemetry is advisory, so the monitor keeps
+/// going.
 struct MetricsStreamData {
   bool has_header = false;
   std::uint64_t seed = 0;
@@ -61,12 +65,24 @@ struct MetricsStreamData {
   std::uint64_t final_done = 0, final_failed = 0, final_skipped = 0, final_total = 0;
   bool torn = false;
   std::uint64_t corrupt_lines = 0;  ///< damaged mid-file lines skipped
+  JsonlScan scan;  ///< the full line classification `torn`/`corrupt_lines` summarize
 };
 
-/// Loads a metrics stream, tolerating a torn trailing line and skipping
-/// (while counting) corrupt mid-file lines. Throws common::ConfigError only
-/// when the file cannot be opened or its header line is damaged or foreign
-/// — with no trusted identity line, nothing below it means anything.
+/// Parses a stream header line's payload into an otherwise empty
+/// MetricsStreamData. Throws common::ConfigError on a foreign kind or a
+/// missing field.
+[[nodiscard]] MetricsStreamData parse_stream_header(const JsonValue& doc);
+
+/// Folds one sample line's payload into `data`. Throws common::ConfigError
+/// (leaving `data` untouched) on an unknown sample kind or a bad field.
+void apply_stream_sample(const JsonValue& doc, MetricsStreamData& data);
+
+/// Loads a metrics stream with scan_jsonl, tolerating a torn final line and
+/// skipping (while counting) corrupt mid-file lines. A torn or absent
+/// header reads as an empty stream. Throws common::ConfigError when the
+/// file cannot be opened, is foreign, or has a damaged header with lines
+/// below it — with no trusted identity line, nothing below it means
+/// anything.
 [[nodiscard]] MetricsStreamData read_metrics_stream(const std::string& path);
 
 struct TailOptions {

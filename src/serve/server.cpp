@@ -1,13 +1,12 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <vector>
 
+#include "campaign/fsck.hpp"
 #include "campaign/journal.hpp"
 #include "campaign/record_io.hpp"
 #include "common/error.hpp"
@@ -19,14 +18,6 @@ namespace rh::serve {
 
 namespace {
 
-std::string read_text_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw common::ConfigError("cannot open file: " + path);
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
-}
-
 HttpResponse json_response(int status, std::string body) {
   HttpResponse resp;
   resp.status = status;
@@ -37,21 +28,6 @@ HttpResponse json_response(int status, std::string body) {
 
 HttpResponse error_response(int status, const std::string& message) {
   return json_response(status, "{\"error\":\"" + telemetry::json_escape(message) + "\"}");
-}
-
-/// True iff `name` is exactly job-<digits>.json — the descriptor, not the
-/// report/journal/stream siblings that share the prefix.
-bool is_job_descriptor(const std::string& name, std::uint64_t& id) {
-  if (name.rfind("job-", 0) != 0) return false;
-  const std::string::size_type dot = name.find('.');
-  if (dot == std::string::npos || name.substr(dot) != ".json") return false;
-  const std::string digits = name.substr(4, dot - 4);
-  if (digits.empty()) return false;
-  for (const char c : digits) {
-    if (std::isdigit(static_cast<unsigned char>(c)) == 0) return false;
-  }
-  id = std::strtoull(digits.c_str(), nullptr, 10);
-  return true;
 }
 
 /// The accounting identity of a request: the X-Tenant header, "anonymous"
@@ -492,7 +468,7 @@ HttpResponse Server::file_response(const std::string& path, const char* content_
   HttpResponse resp;
   resp.status = 200;
   resp.content_type = content_type;
-  resp.body = read_text_file(path);
+  resp.body = campaign::read_whole_file(path, "file");
   return resp;
 }
 
@@ -806,10 +782,8 @@ void Server::recover() {
   if (!std::filesystem::is_directory(options_.data_dir, ec)) return;
   std::vector<std::pair<std::uint64_t, std::string>> descriptors;
   for (const auto& entry : std::filesystem::directory_iterator(options_.data_dir, ec)) {
-    std::uint64_t id = 0;
-    if (entry.is_regular_file() && is_job_descriptor(entry.path().filename().string(), id)) {
-      descriptors.emplace_back(id, entry.path().string());
-    }
+    const auto id = campaign::job_descriptor_id(entry.path().filename().string());
+    if (entry.is_regular_file() && id) descriptors.emplace_back(*id, entry.path().string());
   }
   std::sort(descriptors.begin(), descriptors.end());
 
@@ -818,7 +792,7 @@ void Server::recover() {
     std::shared_ptr<Job> job;
     try {
       const campaign::JsonValue doc =
-          campaign::parse_json(read_text_file(path), "job descriptor " + path);
+          campaign::parse_json(campaign::read_whole_file(path, "file"), "job descriptor " + path);
       const CampaignConfig config = config_from_json(doc.at("config"), "job descriptor");
       const JobState state = job_state_from_string(doc.at("state").text);
       std::string tenant = "anonymous";

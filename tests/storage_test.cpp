@@ -2,7 +2,8 @@
 // injector, CRC-32 line framing, the DurableFile / write_file_atomic
 // primitives under every fault kind, journal damage classification and
 // quarantine resume, campaign-level byte-identity under disk-fault storms,
-// metrics-stream degradation, and rh_fsck's detect/repair contract.
+// metrics-stream degradation, and rh_fsck's detect/repair contract and its
+// agreement with the journal and stream readers.
 #include "resilience/storage.hpp"
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -513,6 +515,42 @@ TEST(StorageStorm, ResumeAfterMidFileRotReRunsExactlyTheDamagedShards) {
   EXPECT_EQ(reader.shards().size(), spec.shards.size());
 }
 
+TEST(JournalDamage, ResumeAfterAnUnterminatedShardLineFinishesWhole) {
+  // A kill after a shard line's payload landed but before its newline did:
+  // the line parses, yet appending after it would fuse two lines. It is the
+  // torn tail, so resume drops it and re-runs its shard.
+  const SweepSpec spec = quick_sweep();
+  ASSERT_GT(spec.shards.size(), 5u);
+  const TempPath journal("storage_test_unterminated.jsonl");
+  const TempPath sidecar(journal.str() + ".quarantine");
+
+  CampaignConfig full = quiet_config();
+  full.checkpoint_path = journal.str();
+  Campaign first(full);
+  const CampaignResult complete = first.run(spec);
+
+  // The header and five shard lines, the last without its newline.
+  const std::string content = read_file(journal.str());
+  std::size_t end = 0;
+  for (int line = 0; line < 6; ++line) end = content.find('\n', end) + 1;
+  write_raw(journal.str(), content.substr(0, end - 1));
+  const JournalReader cut(journal.str());
+  EXPECT_TRUE(cut.torn_tail()) << "an unterminated final line is the torn tail";
+  EXPECT_EQ(cut.shards().size(), 4u);
+
+  CampaignConfig again = full;
+  again.resume = true;
+  Campaign second(again);
+  const CampaignResult resumed = second.run(spec);
+  EXPECT_EQ(resumed.shards_skipped, 4u);
+  expect_records_equal(complete.flat(), resumed.flat());
+
+  const JournalReader reader(journal.str());
+  EXPECT_TRUE(reader.corrupt_lines().empty()) << "the resume appended onto the cut line";
+  EXPECT_FALSE(reader.torn_tail());
+  EXPECT_EQ(reader.shards().size(), spec.shards.size());
+}
+
 // ---------------------------------------------------------------------------
 // Metrics-stream degradation: telemetry loss never fails a run.
 // ---------------------------------------------------------------------------
@@ -601,6 +639,99 @@ std::map<std::string, FsckStatus> build_damaged_dir(const std::string& dir) {
   expected["job-6.json"] = FsckStatus::kCorrupt;
 
   return expected;
+}
+
+/// Writes a fresh journal or metrics stream (header plus three record
+/// lines) to `path` and returns its bytes.
+std::string write_clean_jsonl(const std::string& path, bool journal) {
+  if (journal) {
+    JournalWriter writer(path, JournalHeader{1, 2, 4});
+    for (std::uint32_t shard = 0; shard < 3; ++shard) {
+      writer.append_shard(shard, {minimal_record(shard)}, 5.0, 1);
+    }
+  } else {
+    telemetry::MetricsStreamWriter writer(path, telemetry::MetricsStreamHeader{});
+    for (std::uint32_t seq = 0; seq < 3; ++seq) {
+      writer.append(telemetry::format_cycles_sample(0, 1, seq, 10 * (seq + 1), {}));
+    }
+  }
+  return read_file(path);
+}
+
+/// One lesion of a clean three-record file and how every reader must see it.
+struct Lesion {
+  std::string name;
+  std::string bytes;
+  bool torn_tail = false;
+  std::uint64_t intact_lines = 0;
+  std::vector<std::size_t> corrupt;  ///< 1-based line numbers
+};
+
+std::vector<Lesion> lesions_of(const std::string& clean) {
+  const std::size_t line2 = clean.find('\n') + 1;
+  const std::size_t line3 = clean.find('\n', line2) + 1;
+  const std::size_t line4 = clean.find('\n', line3) + 1;
+  std::string flipped = clean;
+  flipped[line2 + (line3 - line2) / 2] ^= 0x01;
+  std::string blank = clean;
+  blank.insert(line3, "\n");
+  return {
+      {"torn prefix", clean + clean.substr(line4, (clean.size() - line4) / 2), true, 3, {}},
+      {"unterminated line that parses", clean.substr(0, clean.size() - 1), true, 2, {}},
+      {"CRC bit flip mid-file", flipped, false, 2, {2}},
+      {"blank line mid-file", blank, false, 3, {}},
+      {"torn header", clean.substr(0, line2 / 2), true, 0, {}},
+  };
+}
+
+TEST(Fsck, VerdictAgreesWithTheReadersOnEveryLesion) {
+  for (const bool journal : {true, false}) {
+    const TempPath path(journal ? "storage_test_agree.journal.jsonl"
+                                : "storage_test_agree.stream.jsonl");
+    for (const Lesion& lesion : lesions_of(write_clean_jsonl(path.str(), journal))) {
+      SCOPED_TRACE((journal ? "journal: " : "stream: ") + lesion.name);
+      write_raw(path.str(), lesion.bytes);
+      const FsckVerdict v = fsck_file(path.str());
+      std::vector<std::size_t> fsck_corrupt;
+      for (const FsckIssue& issue : v.issues) fsck_corrupt.push_back(issue.line_no);
+      EXPECT_EQ(v.torn_tail, lesion.torn_tail);
+      EXPECT_EQ(v.intact_lines, lesion.intact_lines);
+      EXPECT_EQ(fsck_corrupt, lesion.corrupt);
+
+      JsonlScan seen;
+      if (journal) {
+        if (lesion.intact_lines == 0) {
+          EXPECT_THROW((void)JournalReader(path.str()), common::ConfigError);
+          EXPECT_FALSE(v.repairable) << "a damaged journal header is unrepairable";
+          continue;
+        }
+        const JournalReader reader(path.str());
+        EXPECT_EQ(reader.outcomes().size(), v.intact_lines);
+        EXPECT_EQ(reader.torn_tail(), v.torn_tail);
+        EXPECT_EQ(reader.intact_bytes(), v.intact_bytes);
+        seen = reader.scan();
+      } else {
+        const MetricsStreamData data = read_metrics_stream(path.str());
+        EXPECT_EQ(data.cycles_samples, v.intact_lines);
+        EXPECT_EQ(data.torn, v.torn_tail);
+        EXPECT_EQ(data.corrupt_lines, v.issues.size());
+        seen = data.scan;
+      }
+      std::vector<std::size_t> reader_corrupt;
+      for (const CorruptLine& line : seen.corrupt) reader_corrupt.push_back(line.line_no);
+      EXPECT_EQ(seen.intact.size(), v.intact_lines);
+      EXPECT_EQ(seen.intact_bytes, v.intact_bytes);
+      EXPECT_EQ(seen.torn_tail, v.torn_tail);
+      EXPECT_EQ(reader_corrupt, fsck_corrupt);
+    }
+  }
+}
+
+TEST(Fsck, JobDescriptorIdTakesExactlyJobDigitsJson) {
+  EXPECT_EQ(job_descriptor_id("job-7.json"), std::optional<std::uint64_t>(7));
+  EXPECT_EQ(job_descriptor_id("job-.json"), std::nullopt);
+  EXPECT_EQ(job_descriptor_id("job-7.report.json"), std::nullopt);
+  EXPECT_EQ(job_descriptor_id("job-7a.json"), std::nullopt);
 }
 
 TEST(Fsck, DetectsEveryInjectedLesion) {
