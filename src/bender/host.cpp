@@ -70,29 +70,19 @@ std::size_t program_upload_bytes(const Program& program) {
 BenderHost::BenderHost(hbm::DeviceConfig device_config, ThermalConfig thermal_config)
     : device_(std::make_unique<hbm::Device>(std::move(device_config))),
       executor_(*device_),
-      trace_engine_(*device_),
       thermal_(thermal_config) {
   // The rig starts at ambient; the device config's initial temperature is
   // honoured until the first set_chip_temperature call.
   thermal_.set_target(device_->temperature());
   // The fast engine is the production default; set_engine(kInterp) restores
   // the reference interpreter (the differential rig runs both).
-  device_->set_engine(engine_);
-}
-
-void BenderHost::set_engine(common::EngineKind kind, common::PlantedBug bug) {
-  engine_ = kind;
-  if (kind != common::EngineKind::kFast) bug = common::PlantedBug::kNone;
-  trace_engine_.set_planted_bug(bug);
-  device_->set_engine(kind, bug);
+  device_->set_engine(common::EngineKind::kFast);
 }
 
 ExecutionResult BenderHost::execute_program(const Program& program, std::uint32_t channel,
                                             std::uint32_t pseudo_channel) {
   const auto scope = phase_scope(Phase::kExecute);
-  ExecutionResult result = engine_ == common::EngineKind::kFast
-                               ? trace_engine_.run(program, channel, pseudo_channel, now_)
-                               : executor_.run(program, channel, pseudo_channel, now_);
+  ExecutionResult result = executor_.run(program, channel, pseudo_channel, now_);
   now_ = result.end_cycle;
   return result;
 }

@@ -27,7 +27,6 @@
 #include "bender/executor.hpp"
 #include "bender/program.hpp"
 #include "bender/thermal.hpp"
-#include "bender/trace_engine.hpp"
 #include "bender/transport.hpp"
 #include "hbm/device.hpp"
 #include "profiling/profile.hpp"
@@ -70,14 +69,13 @@ public:
   ExecutionResult run(const Program& program, std::uint32_t channel,
                       std::uint32_t pseudo_channel);
 
-  /// Selects the program engine: kFast (default) runs programs through the
-  /// TraceEngine with the cached fault kernel; kInterp runs the reference
-  /// Executor with the reference fault scan. Both are bit-identical by
-  /// contract (see common/engine.hpp); `bug` deliberately breaks the fast
-  /// path for differential-rig sensitivity tests and is ignored for kInterp.
+  /// Selects the engine of the host's device (kFast by default; see
+  /// hbm::Device::set_engine), which the executor follows on every run.
   void set_engine(common::EngineKind kind,
-                  common::PlantedBug bug = common::PlantedBug::kNone);
-  [[nodiscard]] common::EngineKind engine() const { return engine_; }
+                  common::PlantedBug bug = common::PlantedBug::kNone) {
+    device_->set_engine(kind, bug);
+  }
+  [[nodiscard]] common::EngineKind engine() const { return device_->engine(); }
 
   /// Advances the global clock without issuing commands (host-side delay;
   /// retention keeps accruing, exactly like real wall-clock waiting).
@@ -183,8 +181,8 @@ private:
   /// Charges one backoff wait (wall clock only) for retry `attempt` of `op`.
   void charge_backoff(std::uint64_t op, unsigned attempt);
 
-  /// Engine dispatch for one program run (both host run paths route here):
-  /// runs the execute phase and advances the clock to the program's end.
+  /// One program run (both host run paths route here): runs the execute
+  /// phase and advances the clock to the program's end.
   ExecutionResult execute_program(const Program& program, std::uint32_t channel,
                                   std::uint32_t pseudo_channel);
   /// Opens `phase` on this host's profile, cycle clock and span context.
@@ -194,8 +192,6 @@ private:
 
   std::unique_ptr<hbm::Device> device_;
   Executor executor_;
-  TraceEngine trace_engine_;
-  common::EngineKind engine_ = common::EngineKind::kFast;
   ThermalRig thermal_;
   PcieLink link_;
   hbm::Cycle now_ = 0;

@@ -140,8 +140,7 @@ ProgramBuilder& ProgramBuilder::sleep(std::int64_t cycles) {
 }
 
 hbm::Cycle ProgramBuilder::hammer_period(std::int64_t on_time) const {
-  const hbm::Cycle on = std::max<hbm::Cycle>(static_cast<hbm::Cycle>(on_time), timings_.tRAS);
-  return std::max(timings_.tRC, on + timings_.tRP);
+  return bender::hammer_period(timings_, on_time);
 }
 
 ProgramBuilder& ProgramBuilder::hammer(std::uint8_t bank, std::uint8_t row_a_reg,
@@ -244,7 +243,7 @@ ProgramBuilder& ProgramBuilder::hammer_loop_raw(std::uint8_t bank, std::uint32_t
   // Register plan: r29 = i, r28 = count, r27 = row_a, r26 = row_b.
   // Builder virtual time models the FIRST iteration; the loop body is padded
   // so every iteration has identical, legal spacing.
-  const hbm::Cycle on = std::max<hbm::Cycle>(static_cast<hbm::Cycle>(on_time), timings_.tRAS);
+  const hbm::Cycle on = hammer_on_time(timings_, on_time);
 
   ldi(29, 0);
   ldi(28, count);

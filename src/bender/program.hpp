@@ -9,6 +9,7 @@
 // minimal, not conservative guesswork.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -44,6 +45,18 @@ private:
   std::vector<Instruction> code_;
   std::vector<std::vector<std::uint8_t>> wide_{kWideRegisters};
 };
+
+/// Per-activation on-time of a HAMMER macro-op: max(tRAS, on_time).
+[[nodiscard]] inline hbm::Cycle hammer_on_time(const hbm::TimingParams& timings,
+                                               std::int64_t on_time) {
+  return std::max<hbm::Cycle>(static_cast<hbm::Cycle>(on_time), timings.tRAS);
+}
+
+/// Cycles per ACT+PRE pair of a HAMMER macro-op: max(tRC, on-time + tRP).
+[[nodiscard]] inline hbm::Cycle hammer_period(const hbm::TimingParams& timings,
+                                              std::int64_t on_time) {
+  return std::max(timings.tRC, hammer_on_time(timings, on_time) + timings.tRP);
+}
 
 /// Reference to an instruction index, used as a branch target.
 struct Label {
@@ -104,7 +117,7 @@ public:
   [[nodiscard]] hbm::Cycle hammer_period(std::int64_t on_time) const;
 
   /// Finalizes: appends END if missing and returns the program. Validation
-  /// happens once, at the trust boundary: Executor::run / TraceEngine::run.
+  /// happens once, at the trust boundary: Executor::run.
   [[nodiscard]] Program take();
 
   /// Access to the program being built (e.g. to preload wide registers).

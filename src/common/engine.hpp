@@ -1,16 +1,16 @@
 // Engine selection for the simulation stack.
 //
-// The repo ships two device-core engines that must be bit-for-bit
-// indistinguishable from the outside:
+// The engine is one run-time choice, stored only in hbm::Device
+// (Device::set_engine) and followed by every layer that has a fast path.
+// Both choices must be bit-for-bit indistinguishable from the outside:
 //
-//   kInterp — the reference interpreter: Executor steps every Bender
+//   kInterp — the reference: bender::Executor steps every Bender
 //             instruction and the fault model re-derives each cell's
 //             threshold on every row settle. Slow, simple, the ground truth.
-//   kFast   — the production engine: programs are pre-decoded into timed
-//             command traces, tight hammer loops fast-forward in closed
-//             form, per-row disturbance is accumulated structure-of-arrays,
-//             and the fault kernel evaluates rows from a per-row sorted
-//             threshold cache. Every observable (reports, journals, metrics
+//   kFast   — the production path: the same Executor run loop also
+//             fast-forwards eligible register loops in closed form, and the
+//             fault kernel evaluates rows from a per-row cache of integer
+//             weak-cell slots. Every observable (reports, journals, metrics
 //             streams, flip sets, error strings) must match kInterp exactly
 //             at the same seed; tests/engine_diff_test.cpp and the
 //             verify::Property campaign identities enforce the contract.
@@ -29,7 +29,7 @@
 namespace rh::common {
 
 enum class EngineKind : std::uint8_t {
-  kFast,    ///< pre-decoded traces + batched kernels (default)
+  kFast,    ///< loop fast-forward + batched kernels (default)
   kInterp,  ///< reference interpreter
 };
 

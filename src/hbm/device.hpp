@@ -89,14 +89,18 @@ public:
   [[nodiscard]] double temperature() const { return temperature_c_; }
 
   // --- Engine selection ---------------------------------------------------
-  /// Selects between the reference device core (kInterp: per-bit fault
-  /// rescans) and the fast one (kFast: cached sorted-threshold fault kernel).
-  /// Both are bit-identical by contract; `bug` deliberately breaks the fast
-  /// path for differential-rig sensitivity tests and is only honoured when
-  /// `kind == kFast`.
+  /// Selects the engine for this device and every program run on it (see
+  /// common/engine.hpp): kInterp is the reference (bender::Executor steps
+  /// every instruction; the fault model scans every cell), kFast the
+  /// production path (closed-form loop fast-forward and the cached
+  /// integer-slot fault kernel). Both are bit-identical by contract; `bug`
+  /// deliberately breaks the fast path for differential-rig sensitivity
+  /// tests and is stored only when `kind == kFast`.
   void set_engine(common::EngineKind kind,
                   common::PlantedBug bug = common::PlantedBug::kNone);
   [[nodiscard]] common::EngineKind engine() const { return engine_; }
+  /// The planted bug in force (always kNone under kInterp).
+  [[nodiscard]] common::PlantedBug planted_bug() const { return planted_bug_; }
 
   // --- Observability ------------------------------------------------------
   /// Attaches (or detaches, with nullptr) a telemetry sink observing the
@@ -138,6 +142,7 @@ private:
   double temperature_c_ = 85.0;
   telemetry::Telemetry* telemetry_ = nullptr;
   common::EngineKind engine_ = common::EngineKind::kInterp;
+  common::PlantedBug planted_bug_ = common::PlantedBug::kNone;
 };
 
 }  // namespace rh::hbm

@@ -1,8 +1,8 @@
 // The differential engine rig: every program that runs through the fast
-// engine (pre-decoded traces, closed-form loop fast-forward, cached fault
-// kernel) must be observationally identical to the reference interpreter —
-// readback bytes, clocks, command mix, device state, TRR sampler state,
-// telemetry counters, flip events, and error strings.
+// engine (closed-form loop fast-forward, cached fault kernel) must be
+// observationally identical to the reference interpreter — readback bytes,
+// clocks, command mix, device state, TRR sampler state, telemetry counters,
+// flip events, and error strings.
 //
 // Inputs come from three directions so the rig is not testing what it
 // generated itself: the committed .rhcs corpus (timing repros and boundary
@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "bender/executor.hpp"
 #include "bender/host.hpp"
 #include "bender/program.hpp"
 #include "common/engine.hpp"
@@ -177,8 +178,12 @@ struct EngineRun {
   std::string telemetry_digest;
 };
 
+/// Runs `program` through a BenderHost on `kind`. With a `budget`, the
+/// program runs straight on an Executor over the host's device instead,
+/// because BenderHost::run always grants the default instruction budget.
 EngineRun run_one(const hbm::DeviceConfig& config, const bender::Program& program,
-                  common::EngineKind kind, common::PlantedBug bug = common::PlantedBug::kNone) {
+                  common::EngineKind kind, common::PlantedBug bug = common::PlantedBug::kNone,
+                  std::optional<std::uint64_t> budget = std::nullopt) {
   bender::BenderHost host(config);
   host.set_engine(kind, bug);
   telemetry::TelemetryConfig sink_config;
@@ -187,7 +192,9 @@ EngineRun run_one(const hbm::DeviceConfig& config, const bender::Program& progra
   host.set_telemetry(&sink);
   EngineRun out;
   try {
-    out.result = host.run(program, kChannel, kPseudoChannel);
+    out.result = budget ? bender::Executor(host.device())
+                              .run(program, kChannel, kPseudoChannel, host.now(), *budget)
+                        : host.run(program, kChannel, kPseudoChannel);
   } catch (const std::exception& e) {
     out.error = e.what();
   }
@@ -197,8 +204,7 @@ EngineRun run_one(const hbm::DeviceConfig& config, const bender::Program& progra
   return out;
 }
 
-/// The equivalence contract, observable by observable. Wall-clock metrics
-/// (host_seconds, instructions_per_second) are excluded; simulated-time
+/// The equivalence contract, observable by observable. Simulated-time
 /// metrics must match as exact doubles.
 void expect_identical(const EngineRun& fast, const EngineRun& interp) {
   EXPECT_EQ(fast.error, interp.error);
@@ -344,6 +350,48 @@ TEST(EngineDiff, ErrorPathsMatchExactly) {
   const EngineRun interp = run_one(config, program, common::EngineKind::kInterp);
   EXPECT_FALSE(fast.error.empty());
   expect_identical(fast, interp);
+}
+
+TEST(EngineDiff, ErrorRaisedInsideFastForwardReplayMatches) {
+  // ACT; SLEEP; PRE; ADDI; BLT. Iteration 1 is legal (the bank was idle),
+  // but the loop-back reopens the row 3 cycles after its PRE, breaking tRP
+  // and tRC. The fast engine steps iteration 1 and fast-forwards at the
+  // first BLT, so its TimingError is raised by the replay of iteration 2's
+  // ACT and must still carry the interpreter's pc, cycle, executed count
+  // and disassembly.
+  const hbm::DeviceConfig config;
+  bender::ProgramBuilder b(config.geometry, config.timings);
+  b.ldi(1, 100).ldi(2, 0).ldi(3, 8);
+  const bender::Label loop = b.here();
+  b.act(0, 1).sleep(static_cast<std::int64_t>(config.timings.tRAS)).pre(0);
+  b.addi(2, 2, 1).blt(2, 3, loop);
+  const bender::Program program = b.take();
+  const EngineRun fast = run_one(config, program, common::EngineKind::kFast);
+  const EngineRun interp = run_one(config, program, common::EngineKind::kInterp);
+  EXPECT_NE(fast.error.find("after 9 instructions"), std::string::npos) << fast.error;
+  EXPECT_NE(fast.error.find("pc 3: ACT"), std::string::npos) << fast.error;
+  expect_identical(fast, interp);
+}
+
+TEST(EngineDiff, BudgetCutInsideAFastForwardedLoopMatches) {
+  // A raw hammer loop whose instruction budget runs out mid-loop: the fast
+  // engine replays the whole iterations that fit, then steps until the
+  // budget throws. The error text and every side effect must match the
+  // interpreter's, for cuts inside the prologue, inside the first (stepped)
+  // iteration, and at and between later iteration boundaries.
+  const hbm::DeviceConfig config;
+  bender::ProgramBuilder b(config.geometry, config.timings);
+  b.hammer_loop_raw(0, 100, 102, 1000);
+  const bender::Program program = b.take();
+  for (const std::uint64_t budget : {3ull, 9ull, 14ull, 15ull, 24ull, 25ull, 26ull, 333ull}) {
+    SCOPED_TRACE(budget);
+    const EngineRun fast =
+        run_one(config, program, common::EngineKind::kFast, common::PlantedBug::kNone, budget);
+    const EngineRun interp =
+        run_one(config, program, common::EngineKind::kInterp, common::PlantedBug::kNone, budget);
+    EXPECT_NE(fast.error.find("instruction budget exceeded"), std::string::npos) << fast.error;
+    expect_identical(fast, interp);
+  }
 }
 
 TEST(EngineDiff, InterpEngineIgnoresPlantedBugs) {
